@@ -3,15 +3,15 @@
 
 Run one workload::
 
-    python3 perfbench/run.py --workload construct --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload construct --seed 1 --seconds 30 --trace 0
 
 or, without ``--workload``, every workload in turn, each in a process of its
 own.  A workload runs in a fresh single-threaded interpreter with
 ``PYTHONHASHSEED=0``; one caller calls ``netcode_unicast.cli.main`` in a
-closed loop, in whole rounds of the workload's fixed operation list.  The
-number of rounds follows from ``--seconds`` and the workload's round time on
-the reference machine, so every run of a workload does the same work.  Every
-output is checked by ``checker``, which shares no code with the program.
+closed loop, in whole rounds of the workload's fixed operation list, until
+``--seconds`` of wall time have passed and at least three rounds are done.
+Every output is checked by ``checker``, which shares no code with the
+program.
 
 Times are CPU seconds of this process and its reaped children.  The program
 is single-threaded and does no waiting, so on an unshared machine that equals
@@ -19,10 +19,15 @@ wall time; on a shared virtual machine it leaves out the time the hypervisor
 takes the CPU away, which the guest kernel does not charge to the process.
 
 With ``--trace 0`` the run reports the end-to-end metrics named in
-``BENCHMARK.json``.  With ``--trace 1`` it first runs the same rounds
-untraced, then as many rounds again with spans around every layer, and
-reports the per-layer metrics as totals per round; the spans go to
-``perfbench/out/``.  The last line of output is one JSON object.
+``BENCHMARK.json``: ``ops_per_s`` is operations over the CPU time spent in
+them, and ``op_p50_ms`` the median, over the list's operations, of each one's
+mean time over its repeats.  The machine's speed switches between modes some
+35% apart every few seconds; a median of single samples jumps between the
+modes, while a mean moves only with the share of time spent in each.  With
+``--trace 1`` it runs untraced rounds for half of ``--seconds``, then as
+many rounds again with spans around every layer, and reports the per-layer
+metrics as totals per round; the spans go to ``perfbench/out/``.  The last
+line of output is one JSON object.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 PACKAGE = "netcode_unicast"
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
+MIN_ROUNDS = 3
 
 
 def declared_metrics(kind: str) -> list[dict]:
@@ -133,18 +139,30 @@ def judge(op, status: int, out: str, argv: list[str]) -> str | None:
 
 
 class Tally:
-    def __init__(self) -> None:
+    def __init__(self, ops) -> None:
         self.times: list[float] = []
+        self.by_op: list[list[float]] = [[] for _ in ops]
         self.failed = 0
         self.wrong: dict[str, str] = {}
         self.known: dict[str, str] = {}
 
 
-def run_rounds(cli, ops, files, tally: Tally, rounds: int, tracer: Tracer | None = None) -> None:
-    """``rounds`` whole rounds of ``ops``; only the call into the program is timed."""
+def run_rounds(cli, ops, files, tally: Tally, *, seconds: float = 0.0, rounds: int | None = None,
+               tracer: Tracer | None = None) -> int:
+    """Whole rounds of ``ops``: ``rounds`` of them, or else as many as start
+    within ``seconds`` of wall time, at least ``MIN_ROUNDS``.  Only the call
+    into the program is timed.  Returns the number of rounds run."""
     argvs = [argv_of(op, f) for op, f in zip(ops, files)]
-    for _ in range(rounds):
-        for op, argv in zip(ops, argvs):
+    done, start = 0, time.perf_counter()
+
+    def another_round() -> bool:
+        if rounds is not None:
+            return done < rounds
+        return done < MIN_ROUNDS or time.perf_counter() - start < seconds
+
+    while another_round():
+        done += 1
+        for k, (op, argv) in enumerate(zip(ops, argvs)):
             if op.expect in ("code", "found"):
                 Path(argv[-1]).unlink(missing_ok=True)
             if tracer is not None:
@@ -159,6 +177,7 @@ def run_rounds(cli, ops, files, tally: Tally, rounds: int, tracer: Tracer | None
             except Exception as exc:  # a crash is a failed operation, not the end of the run
                 status = exc
             tally.times.append(cpu_seconds() - began)
+            tally.by_op[k].append(tally.times[-1])
             if isinstance(status, Exception):
                 reason = f"the program raised {status!r}"
             else:
@@ -166,6 +185,7 @@ def run_rounds(cli, ops, files, tally: Tally, rounds: int, tracer: Tracer | None
             if reason is not None:
                 tally.failed += 1
                 (tally.known if op.planted else tally.wrong).setdefault(op.name, reason)
+    return done
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -175,7 +195,7 @@ def end_to_end(tally: Tally, setup_s: float) -> dict[str, float]:
     return {
         "setup_s": setup_s,
         "ops_per_s": len(tally.times) / sum(tally.times),
-        "op_p50_ms": statistics.median(tally.times) * 1000,
+        "op_p50_ms": statistics.median(statistics.fmean(t) for t in tally.by_op) * 1000,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -208,16 +228,16 @@ def run_workload(args) -> int:
         cli, ops, files, setup_s = setup(args.workload, args.seed, run_dir)
         print(f"inputs: workload {args.workload} seed {args.seed}, {len(ops)} operations"
               f" per round, sha256 {digest(ops)}")
-        untraced = Tally()
-        rounds = max(2, round(args.seconds / workloads.ROUND_SECONDS[args.workload]))
-        run_rounds(cli, ops, files, untraced, rounds)
+        untraced = Tally(ops)
+        seconds = args.seconds / 2 if args.trace else args.seconds
+        rounds = run_rounds(cli, ops, files, untraced, seconds=seconds)
         tallies = [untraced]
         if args.trace:
             tracer = Tracer()
             tracer.install(PACKAGE)
-            traced = Tally()
+            traced = Tally(ops)
             tallies.append(traced)
-            run_rounds(cli, ops, files, traced, rounds, tracer)
+            run_rounds(cli, ops, files, traced, rounds=rounds, tracer=tracer)
             trace_file = OUT / f"trace-{args.workload}-seed{args.seed}.tsv"
             tracer.write(trace_file)
             print(f"spans: {len(tracer.spans)} written to {trace_file.relative_to(ROOT)}")
@@ -273,7 +293,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if not (SRC / PACKAGE / "cli.py").is_file():
