@@ -11,6 +11,7 @@ with no code), 2 for usage, input, or budget errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -83,11 +84,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         src, dst = inst.names[s.source], inst.names[s.terminal]
         print(f"session {i + 1}: {src} -> {dst} rate {s.rate} flow {levels[i]}")
     print(f"RESULT: connectivity {_fmt_vec(levels)}")
-    witness = None
-    try:
-        witness = cutset_infeasible(inst)
-    except InstanceError:
-        pass  # too many free nodes for the cut sweep; connectivity only
+    witness = cutset_infeasible(inst)
     if witness is not None:
         sess = ",".join(str(i + 1) for i in witness.sessions)
         nodes = ",".join(inst.names[v] for v in witness.nodes)
@@ -297,6 +294,9 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+# built on the first call to main, not at import; argparse keeps no state
+# between parse_args calls, so one parser serves every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netcode-unicast",

@@ -3,20 +3,23 @@
 Connectivity levels are per-session max-flow values.  Cut-set infeasibility
 witnesses are node sets S whose out-cut is too small for the total rate of
 the sessions it separates; enumeration order is fixed so the first witness
-is reproducible.
+is reproducible.  Where that enumeration would be too large, the source side
+of a minimum cut is the witness: by max-flow/min-cut it violates the bound
+whenever any node set does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .graph import InstanceError, Path, UnicastInstance
 
 ConnectivityVector = tuple[int, ...]
 
 # Exhaustive cut enumeration is exponential in the number of nodes that are
-# not session endpoints; refuse anything bigger than this.
+# not endpoints of the session subset; the scan refuses anything bigger than
+# this, and past it cutset_infeasible takes its witness from the min cut.
 MAX_FREE_NODES = 24
 
 
@@ -56,6 +59,57 @@ class CutWitness:
             raise InstanceError("witness does not violate the cut-set bound")
 
 
+def _augment(
+    arcs: Sequence[tuple[int, int]],
+    out_arcs: Sequence[Sequence[int]],
+    in_arcs: Sequence[Sequence[int]],
+    caps: Sequence[int],
+    flow: list[int],
+    source: int,
+    sink: int,
+) -> tuple[int, AbstractSet[int]]:
+    """One BFS augmentation of ``flow`` in place.
+
+    Returns the amount pushed and the nodes the search reached; the amount
+    is 0 exactly when ``flow`` is already maximum, and then those nodes are
+    the residual-reachable source side of a minimum cut.  An arc with capacity
+    0 is absent from the residual graph unless it still carries flow.
+    """
+    parent: dict[int, tuple[int, int, int] | None] = {source: None}
+    queue = [source]
+    qi = 0
+    while qi < len(queue) and sink not in parent:
+        u = queue[qi]
+        qi += 1
+        for a in out_arcs[u]:
+            v = arcs[a][1]
+            if flow[a] < caps[a] and v not in parent:
+                parent[v] = (u, a, 1)
+                queue.append(v)
+        for a in in_arcs[u]:
+            v = arcs[a][0]
+            if flow[a] > 0 and v not in parent:
+                parent[v] = (u, a, -1)
+                queue.append(v)
+    if sink not in parent:
+        return 0, parent.keys()
+    # walk back to find the bottleneck, then augment
+    bottleneck = None
+    node = sink
+    while parent[node] is not None:
+        u, a, direction = parent[node]
+        residual = caps[a] - flow[a] if direction > 0 else flow[a]
+        bottleneck = residual if bottleneck is None else min(bottleneck, residual)
+        node = u
+    assert bottleneck is not None and bottleneck > 0
+    node = sink
+    while parent[node] is not None:
+        u, a, direction = parent[node]
+        flow[a] += direction * bottleneck
+        node = u
+    return bottleneck, parent.keys()
+
+
 def _bfs_max_flow(
     n_nodes: int,
     arcs: Sequence[tuple[int, int]],
@@ -73,39 +127,10 @@ def _bfs_max_flow(
     flow = [0] * len(arcs)
     value = 0
     while True:
-        parent: dict[int, tuple[int, int, int] | None] = {source: None}
-        queue = [source]
-        qi = 0
-        while qi < len(queue) and sink not in parent:
-            u = queue[qi]
-            qi += 1
-            for a in out_arcs[u]:
-                v = arcs[a][1]
-                if flow[a] < caps[a] and v not in parent:
-                    parent[v] = (u, a, 1)
-                    queue.append(v)
-            for a in in_arcs[u]:
-                v = arcs[a][0]
-                if flow[a] > 0 and v not in parent:
-                    parent[v] = (u, a, -1)
-                    queue.append(v)
-        if sink not in parent:
-            return value, flow, set(parent)
-        # walk back to find the bottleneck, then augment
-        bottleneck = None
-        node = sink
-        while parent[node] is not None:
-            u, a, direction = parent[node]
-            residual = caps[a] - flow[a] if direction > 0 else flow[a]
-            bottleneck = residual if bottleneck is None else min(bottleneck, residual)
-            node = u
-        assert bottleneck is not None and bottleneck > 0
-        node = sink
-        while parent[node] is not None:
-            u, a, direction = parent[node]
-            flow[a] += direction * bottleneck
-            node = u
-        value += bottleneck
+        pushed, reachable = _augment(arcs, out_arcs, in_arcs, caps, flow, source, sink)
+        if not pushed:
+            return value, flow, set(reachable)
+        value += pushed
 
 
 def max_flow(instance: UnicastInstance, session: int) -> int:
@@ -151,11 +176,12 @@ def edge_disjoint_paths(
     return paths
 
 
-def _min_cut_value(
+def _min_cut(
     instance: UnicastInstance, sources: set[int], terminals: set[int]
-) -> int:
+) -> tuple[int, set[int]]:
     """Smallest out-cut capacity over node sets containing ``sources`` and
-    excluding ``terminals`` (super-source/super-sink max-flow)."""
+    excluding ``terminals`` (super-source/super-sink max-flow), with the
+    residual-reachable node set that attains it."""
     n = instance.n_nodes
     super_s, super_t = n, n + 1
     arcs = list(instance.edges)
@@ -167,12 +193,30 @@ def _min_cut_value(
     for v in sorted(terminals):
         arcs.append((v, super_t))
         caps.append(big)
-    value, _, _ = _bfs_max_flow(n + 2, arcs, caps, super_s, super_t)
-    return value
+    value, _, reachable = _bfs_max_flow(n + 2, arcs, caps, super_s, super_t)
+    return value, reachable - {super_s, super_t}
 
 
 def _free_nodes(instance: UnicastInstance, excluded: set[int]) -> list[int]:
     return [v for v in range(instance.n_nodes) if v not in excluded]
+
+
+def _witness(
+    instance: UnicastInstance,
+    session_subset: tuple[int, ...],
+    inside: set[int],
+    required_rate: int,
+) -> CutWitness:
+    crossing = tuple(
+        e for e, (u, v) in enumerate(instance.edges) if u in inside and v not in inside
+    )
+    return CutWitness(
+        sessions=session_subset,
+        nodes=tuple(sorted(inside)),
+        cut_edges=crossing,
+        capacity=len(crossing),
+        required_rate=required_rate,
+    )
 
 
 def _scan_node_subsets(
@@ -198,13 +242,7 @@ def _scan_node_subsets(
             e for e, (u, v) in enumerate(instance.edges) if u in inside and v not in inside
         ]
         if len(crossing) < required_rate:
-            return CutWitness(
-                sessions=session_subset,
-                nodes=tuple(sorted(inside)),
-                cut_edges=tuple(crossing),
-                capacity=len(crossing),
-                required_rate=required_rate,
-            )
+            return _witness(instance, session_subset, inside, required_rate)
     return None
 
 
@@ -221,26 +259,25 @@ def cutset_infeasible(
     Enumerates session subsets in binary-counter order (session 0 = low bit)
     and, per subset, node sets S over the remaining nodes, sources forced in
     and terminals out.  With ``use_min_cut`` a super-source/super-sink
-    max-flow skips subsets that cannot violate the bound; the node-set scan
-    that produces the returned witness is identical either way.
+    max-flow skips subsets that cannot violate the bound, and a violated
+    subset with more than ``MAX_FREE_NODES`` free nodes is answered by the
+    minimum cut's residual-reachable set instead of the exponential scan;
+    within the guard the node-set scan that produces the returned witness
+    is identical either way.  Without ``use_min_cut`` the scan runs for
+    every subset and raises ``InstanceError`` past the guard.
     """
-    static_free = _free_nodes(
-        instance,
-        {s.source for s in instance.sessions} | {s.terminal for s in instance.sessions},
-    )
-    if len(static_free) > MAX_FREE_NODES:
-        raise InstanceError(
-            f"cut enumeration over {len(static_free)} non-endpoint nodes "
-            f"exceeds the {MAX_FREE_NODES}-node guard"
-        )
     for subset in _session_subsets(len(instance.sessions)):
         sources = {instance.sessions[i].source for i in subset}
         terminals = {instance.sessions[i].terminal for i in subset}
         if sources & terminals:
             continue
         required = sum(instance.sessions[i].rate for i in subset)
-        if use_min_cut and _min_cut_value(instance, sources, terminals) >= required:
-            continue
+        if use_min_cut:
+            value, inside = _min_cut(instance, sources, terminals)
+            if value >= required:
+                continue
+            if len(_free_nodes(instance, sources | terminals)) > MAX_FREE_NODES:
+                return _witness(instance, subset, inside, required)
         witness = _scan_node_subsets(instance, subset, sources, terminals, required)
         if witness is not None:
             return witness

@@ -429,6 +429,11 @@ def _search(
         found = dfs(0)
     except _Budget:
         return SearchReport(q, T, counter, False, None)
+    finally:
+        # dfs reaches itself through its closure; break that cycle so dfs
+        # and the memo are freed now, not at the next cyclic collection
+        memo.clear()
+        dfs = None  # type: ignore[assignment]
 
     if not found:
         return SearchReport(q, T, counter, True, None)

@@ -2,6 +2,13 @@
 
 Minimization removes every edge whose deletion keeps the connectivity
 vector intact, leaving an instance where each remaining edge is critical.
+It scans the edges once, in ascending id order, and keeps one unit flow per
+session sized to that session's target.  An edge no flow uses goes for
+free; an edge some flows use goes only if each of them, its unit through
+the edge cancelled, finds one augmenting path that avoids the edge and
+every edge already removed.  One pass suffices: max-flow only falls as
+edges go, so an edge that was critical when scanned stays critical.
+
 Structuring replaces high-degree internal nodes by crossbar gadgets of
 merge/fork cells so that every internal node has total degree at most 3
 while per-session max-flows are preserved; codes found on the structured
@@ -12,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flows import connectivity_level, max_flow
+from .flows import _augment, connectivity_level, max_flow
 from .graph import InstanceError, Path, Session, UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, propagate, verify_code
 
@@ -24,25 +31,65 @@ class MinimizeResult:
     edge_map: tuple[int, ...]         # new edge id -> original edge id
 
 
+def _reroute(
+    instance: UnicastInstance, caps: list[int], flow: list[int], eid: int, session: Session
+) -> bool:
+    """Move the unit of ``flow`` on ``eid`` elsewhere, if the graph allows.
+
+    Cancels the flow path through ``eid`` (source -> tail along flow edges,
+    then head -> terminal) and tries one augmentation over the edges whose
+    capacity is still 1; the caller has already zeroed ``eid``'s.  The flow
+    is then either as large as before and avoids ``eid`` (True), or one unit
+    short, which proves max-flow without ``eid`` below the old value (False).
+    """
+    edges, in_edges, out_edges = instance.edges, instance.in_edges, instance.out_edges
+    flow[eid] = 0
+    node = edges[eid][0]
+    while node != session.source:
+        a = next(a for a in in_edges[node] if flow[a])
+        flow[a] = 0
+        node = edges[a][0]
+    node = edges[eid][1]
+    while node != session.terminal:
+        a = next(a for a in out_edges[node] if flow[a])
+        flow[a] = 0
+        node = edges[a][1]
+    pushed, _ = _augment(
+        edges, out_edges, in_edges, caps, flow, session.source, session.terminal
+    )
+    return pushed > 0
+
+
 def _prune(instance: UnicastInstance, target: tuple[int, ...]) -> MinimizeResult:
-    """Drop edges (ascending id, repeated passes) while the connectivity
-    vector stays componentwise >= target."""
-    kept = list(range(instance.n_edges))
+    """Drop edges in ascending id order while every session keeps max-flow
+    >= its target, which must not exceed the input's connectivity.
+
+    Each session holds a unit flow of exactly its target value, so an edge
+    no flow uses is removed without a search.
+    """
+    edges, out_edges, in_edges = instance.edges, instance.out_edges, instance.in_edges
+    sessions = instance.sessions
+    caps = [1] * instance.n_edges  # 0 marks a removed edge
+    flows: list[list[int]] = []
+    for s, want in zip(sessions, target):
+        flow = [0] * instance.n_edges
+        for _ in range(want):
+            _augment(edges, out_edges, in_edges, caps, flow, s.source, s.terminal)
+        flows.append(flow)
     removed: list[int] = []
-    while True:
-        changed = False
-        for eid in list(kept):
-            candidate = [e for e in kept if e != eid]
-            sub, _ = instance.keep_edges(candidate)
-            levels = connectivity_level(sub)
-            if all(have >= want for have, want in zip(levels, target)):
-                kept = candidate
-                removed.append(eid)
-                changed = True
-        if not changed:
-            break
-    final, mapping = instance.keep_edges(kept)
-    return MinimizeResult(final, tuple(removed), tuple(mapping[i] for i in range(len(kept))))
+    for eid in range(instance.n_edges):
+        users = [i for i, flow in enumerate(flows) if flow[eid]]
+        saved = [flows[i][:] for i in users]
+        caps[eid] = 0
+        if all(_reroute(instance, caps, flows[i], eid, sessions[i]) for i in users):
+            removed.append(eid)
+        else:
+            caps[eid] = 1
+            for i, flow in zip(users, saved):
+                flows[i] = flow
+    kept = [e for e in range(instance.n_edges) if caps[e]]
+    final, _ = instance.keep_edges(kept)
+    return MinimizeResult(final, tuple(removed), tuple(kept))
 
 
 def minimize(instance: UnicastInstance) -> MinimizeResult:
@@ -51,6 +98,12 @@ def minimize(instance: UnicastInstance) -> MinimizeResult:
     The connectivity vector of the result equals the input's exactly: edge
     removal can only lower a max-flow, so holding every component >= the
     original level holds it equal.
+
+    One ascending pass decides each edge with the question "does max-flow
+    stay >= target without the edges removed so far and this one?", asked
+    incrementally of one flow per session.  A second pass would remove
+    nothing: the removed set only grows, so an edge critical when it was
+    scanned stays critical.
     """
     return _prune(instance, connectivity_level(instance))
 

@@ -8,7 +8,11 @@ import io
 import pytest
 
 from netcode_unicast import (
+    CutWitness,
+    build_instance,
     connectivity_level,
+    gen_113,
+    gen_222,
     load_code,
     load_instance,
     sample_1m,
@@ -126,6 +130,43 @@ def test_analyze_output_is_byte_stable(fig2a):
     first = run_cli("analyze", fig2a)
     second = run_cli("analyze", fig2a)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "gen, relays, cut",
+    [(gen_113, 22, "capacity 1 rate 2"), (gen_222, 24, "capacity 2 rate 3")],
+)
+def test_analyze_witness_past_the_cut_guard(gen, relays, cut, tmp_path):
+    # v1 -> a split by enough relays that the node-set scan would refuse
+    base = gen()
+    chain = ["v1", *(f"r{i}" for i in range(relays)), "a"]
+    edges = [(base.names[u], base.names[v]) for u, v in base.edges]
+    at = edges.index(("v1", "a"))
+    edges[at : at + 1] = list(zip(chain, chain[1:]))
+    sessions = [(base.names[s.source], base.names[s.terminal]) for s in base.sessions]
+    inst = build_instance(edges, sessions)
+    path = str(tmp_path / "split.txt")
+    save_instance(inst, path)
+    rc, out, _ = run_cli("analyze", path)
+    assert rc == 1
+    witness = [l.split() for l in out.splitlines() if l.startswith("WITNESS:")]
+    assert len(witness) == 1
+    assert " ".join(witness[0][1:5]) == cut
+    fields = dict(zip(witness[0][1::2], witness[0][2::2]))
+    CutWitness(
+        sessions=tuple(int(i) - 1 for i in fields["sessions"].split(",")),
+        nodes=tuple(sorted(inst.node_id(n) for n in fields["nodes"].split(","))),
+        cut_edges=tuple(int(e) for e in fields["edges"].split(",")),
+        capacity=int(fields["capacity"]),
+        required_rate=int(fields["rate"]),
+    ).validate(inst)
+
+
+def test_main_calls_share_no_parsed_state(fig2b):
+    rc, out, _ = run_cli("search", fig2b, "--q", "3")
+    assert rc == 1 and "field=3 " in out
+    rc, out, _ = run_cli("search", fig2b)
+    assert rc == 1 and "field=2 " in out
 
 
 def test_analyze_parse_error_exits_2(tmp_path):

@@ -149,7 +149,32 @@ def test_guard_on_free_node_count():
     edges = [("s", f"m{i}") for i in range(26)] + [(f"m{i}", "t") for i in range(26)]
     inst = build_instance(edges, [("s", "t")])
     with pytest.raises(InstanceError, match="guard"):
-        cutset_infeasible(inst)
+        cutset_infeasible_exhaustive(inst)
+
+
+def test_min_cut_path_has_no_guard():
+    # the same 26 free nodes: the min-cut skip settles the only subset
+    edges = [("s", f"m{i}") for i in range(26)] + [(f"m{i}", "t") for i in range(26)]
+    inst = build_instance(edges, [("s", "t")])
+    assert cutset_infeasible(inst) is None
+
+
+def test_witness_past_the_guard_comes_from_the_min_cut():
+    # shared_bottleneck with v1 -> a split by 24 relays: 30 free nodes
+    relays = [f"r{i}" for i in range(24)]
+    hops = ["v1", *relays, "a"]
+    base = shared_bottleneck()
+    edges = [
+        (base.names[u], base.names[v])
+        for u, v in base.edges
+        if (base.names[u], base.names[v]) != ("v1", "a")
+    ]
+    edges += list(zip(hops, hops[1:]))
+    inst = build_instance(edges, [("s1", "t1"), ("s2", "t2"), ("s3", "t3")])
+    w = cutset_infeasible(inst)
+    assert w is not None
+    w.validate(inst)
+    assert (w.capacity, w.required_rate, w.sessions) == (2, 3, (0, 1, 2))
 
 
 # -- randomized agreement with independent oracles --------------------------

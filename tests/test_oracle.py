@@ -1,5 +1,7 @@
 """Triple classification, canonical generators, exhaustive search engine."""
 
+import gc
+import inspect
 from itertools import permutations, product
 
 import pytest
@@ -296,3 +298,20 @@ def test_search_consistent_with_constructors():
     rep = brute_force_scalar(chain, 2)
     assert rep.code is not None
     assert verify_code(chain, rep.code).all_pass
+
+
+def test_search_state_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        report = brute_force_scalar(gen_232(), 2)
+        gc.collect()
+        leftover = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert report.exhausted and report.code is None
+    assert not [o for o in leftover if inspect.isfunction(o) and o.__name__ == "dfs"]
+    assert not [o for o in leftover if isinstance(o, set)]

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netcode_unicast import constructors
+from netcode_unicast.constructors import assign_133
 from netcode_unicast.flows import connectivity_level, edge_disjoint_paths, max_flow
 from netcode_unicast.graph import (
     InstanceError,
@@ -21,8 +23,10 @@ from netcode_unicast.netcode import (
     verify_code,
     zero_code,
 )
+from netcode_unicast.sampling import sample_1m, sample_triple, sample_uniform
 from netcode_unicast.transform import (
     GADGET,
+    MinimizeResult,
     internal_degree_ok,
     isolate_sessions,
     lift_code,
@@ -31,6 +35,37 @@ from netcode_unicast.transform import (
     prune_to_connectivity,
     structure,
 )
+
+
+def _prune_oracle(instance, target):
+    """Repeated-pass pruning, the reference for ``minimize`` and
+    ``prune_to_connectivity``: rebuild the instance without each candidate
+    edge (ascending id), recompute every max-flow anew, and pass
+    again until a pass removes nothing.  Returns the result and the edges
+    each pass removed."""
+    kept = list(range(instance.n_edges))
+    passes: list[tuple[int, ...]] = []
+    while not passes or passes[-1]:
+        dropped = []
+        for eid in list(kept):
+            candidate = [e for e in kept if e != eid]
+            sub, _ = instance.keep_edges(candidate)
+            levels = connectivity_level(sub)
+            if all(have >= want for have, want in zip(levels, target)):
+                kept = candidate
+                dropped.append(eid)
+        passes.append(tuple(dropped))
+    removed = tuple(e for dropped in passes for e in dropped)
+    final, mapping = instance.keep_edges(kept)
+    result = MinimizeResult(final, removed, tuple(mapping[i] for i in range(len(kept))))
+    return result, passes
+
+
+def assert_matches_oracle(instance, target=None):
+    if target is None:
+        assert minimize(instance) == _prune_oracle(instance, connectivity_level(instance))[0]
+    else:
+        assert prune_to_connectivity(instance, target) == _prune_oracle(instance, target)[0]
 
 
 def test_minimize_fixpoint_on_disjoint_paths():
@@ -357,3 +392,68 @@ def test_structure_random_postconditions(raw):
         for a in range(len(interiors)):
             for b in range(a + 1, len(interiors)):
                 assert not interiors[a] & interiors[b]
+
+
+@st.composite
+def instance_and_target(draw):
+    inst = draw(small_instance())
+    target = tuple(
+        draw(st.integers(min_value=0, max_value=level))
+        for level in connectivity_level(inst)
+    )
+    return inst, target
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(small_instance())
+def test_minimize_matches_oracle(inst):
+    assert_matches_oracle(inst)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(instance_and_target())
+def test_prune_to_connectivity_matches_oracle(case):
+    assert_matches_oracle(*case)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(instance_and_target())
+def test_oracle_second_pass_removes_nothing(case):
+    _, passes = _prune_oracle(*case)
+    assert all(not dropped for dropped in passes[1:])
+
+
+SAMPLED = (
+    [sample_triple(seed, (1, 3, 3)) for seed in range(12)]
+    + [sample_triple(seed, (2, 3, 2)) for seed in range(8)]
+    + [sample_uniform(seed, 3) for seed in range(8)]
+    + [sample_1m(seed, 2) for seed in range(8)]
+)
+
+
+@pytest.mark.parametrize("k", range(len(SAMPLED)))
+def test_minimize_matches_oracle_on_sampled_suites(k):
+    inst = SAMPLED[k]
+    assert_matches_oracle(inst)
+    # one below max-flow in every session
+    target = tuple(level - 1 for level in connectivity_level(inst))
+    assert_matches_oracle(inst, target)
+
+
+@pytest.mark.parametrize(
+    "seed, triple",
+    [(0, (1, 3, 3)), (1, (1, 3, 3)), (2, (1, 3, 3)), (0, (2, 3, 4)), (1, (3, 3, 4))],
+)
+def test_minimize_matches_oracle_inside_assign_133(seed, triple, monkeypatch):
+    layers = []
+
+    def checked(instance):
+        result = minimize(instance)
+        layers.append(instance)
+        assert result == _prune_oracle(instance, connectivity_level(instance))[0]
+        return result
+
+    monkeypatch.setattr(constructors, "minimize", checked)
+    assign_133(sample_triple(seed, triple))
+    # per layer: minimize before and after structuring, and assign_1m's check
+    assert len(layers) == 6
