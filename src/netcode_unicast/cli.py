@@ -173,7 +173,7 @@ def _decoder_terms(report_edges: tuple[int, ...], vec: Sequence[int]) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    code, _ = load_code(args.code)
+    code, globals_table = load_code(args.code)
     result = verify_code(inst, code)
     expanded = code.validate(inst)
     for report in result.reports:
@@ -186,7 +186,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for k, d in enumerate(report.decoders)
         ]
         print(f"terminal {report.session + 1}: pass " + "; ".join(parts))
-    if result.all_pass:
+    # a 'global' line must repeat the propagated vector of its edge verbatim
+    vectors = propagate(inst, code) if globals_table else ()
+    mismatched = [
+        eid
+        for eid, vec in sorted((globals_table or {}).items())
+        if not 0 <= eid < len(vectors) or vectors[eid] != vec
+    ]
+    for eid in mismatched:
+        print(f"global {eid}: mismatch")
+    if result.all_pass and not mismatched:
         print("RESULT: verified")
         return 0
     print("RESULT: verification failed")
@@ -223,11 +232,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     if args.mode == "routing":
-        report = brute_force_routing(inst, args.T, budget=args.budget, jobs=args.jobs)
+        report = brute_force_routing(inst, args.T, budget=args.budget)
     else:
-        report = brute_force_scalar(
-            inst, args.q, args.T, budget=args.budget, jobs=args.jobs
-        )
+        report = brute_force_scalar(inst, args.q, args.T, budget=args.budget)
     code_ref = "none"
     if report.code is not None:
         if args.output:
@@ -347,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=1, help="vector length")
     p.add_argument("--mode", choices=("linear", "routing"), default="linear")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_search)
 

@@ -12,11 +12,9 @@ time layer on a capped subgraph and lifts the result back.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .flows import connectivity_level, edge_disjoint_paths
 from .gf import PrimeField, Vector
-from .graph import Session, UnicastInstance, _fresh_name, expand_time
+from .graph import Session, UnicastInstance, attach_endpoints, expand_time
 from .netcode import (
     CodeError,
     NetworkCode,
@@ -128,7 +126,7 @@ def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     if pending:
         # every remaining path crosses P1; |active| == |pending| + 1
         ordered = sorted(
-            active, key=lambda i: p1.edge_ids.index(segments[i][0].edges[0])
+            active, key=lambda i: p1.edge_ids.index(segments[i][0][0])
         )
         sums = [x1]
         for slot in pending:
@@ -137,7 +135,7 @@ def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
         last = len(ordered) - 1
         shared: set[int] = set()
         for rank, i in enumerate(ordered):
-            seg = segments[i][0].edges
+            seg = segments[i][0]
             shared.update(seg)
             inside = sums[rank + 1] if rank < last else x1
             feed = F.unit(L, off2 + pending[rank]) if rank < last else fed_total
@@ -165,31 +163,6 @@ def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     return code
 
 
-def _cap_endpoints(
-    instance: UnicastInstance, width: Mapping[int, int]
-) -> UnicastInstance:
-    """Attach private session endpoints joined by ``width[i]`` parallel edges.
-
-    The attachment bounds session i's max-flow above by width[i] while any
-    width[i] edge-disjoint paths survive below it, so the capped instance
-    has connectivity exactly min(width[i], previous max-flow) per session.
-    Original edge ids are preserved; attachments come after them.
-    """
-    names = list(instance.names)
-    taken = set(names)
-    edges = list(instance.edges)
-    sessions: list[Session] = []
-    for i, s in enumerate(instance.sessions):
-        names.append(_fresh_name(f"~s{i + 1}", taken))
-        src = len(names) - 1
-        names.append(_fresh_name(f"~t{i + 1}", taken))
-        dst = len(names) - 1
-        edges.extend([(src, s.source)] * width[i])
-        edges.extend([(s.terminal, dst)] * width[i])
-        sessions.append(Session(src, dst, s.rate))
-    return UnicastInstance(tuple(names), tuple(edges), tuple(sessions))
-
-
 def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     """T=2 code for three unit-rate sessions, sorted connectivity >= [1,3,3].
 
@@ -211,7 +184,7 @@ def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
         raise CodeError(f"sorted connectivity {list(ranked)} is below [1, 3, 3]")
 
     a, b, c = order
-    capped = _cap_endpoints(instance, {a: 1, b: 3, c: 3})
+    capped = attach_endpoints(instance, {a: 1, b: 3, c: 3})
     union = sorted(
         {
             eid

@@ -3,7 +3,7 @@
 Everything here works over GF(q) for a prime q.  Vectors are plain tuples of
 ints in ``range(q)``; keeping them hashable matters because the search code
 uses them as memo keys.  Matrices are short lists of such tuples, so the
-elimination routines below are written directly instead of pulling in a
+elimination routine below is written directly instead of pulling in a
 numerics dependency.
 """
 
@@ -14,6 +14,10 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
+
+# largest field order accepted; the primality test is trial division, which
+# takes milliseconds up to here and hangs on orders with 18 digits
+MAX_FIELD_ORDER = 2**31 - 1
 
 
 def is_prime(n: int) -> bool:
@@ -29,6 +33,8 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _checked_prime(q: int) -> int:
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(f"field order must be at most 2**31 - 1, got {q}")
     if not is_prime(q):
         raise ValueError(f"field order must be prime, got {q}")
     return q
@@ -38,8 +44,7 @@ def _checked_prime(q: int) -> int:
 class PrimeField:
     """Arithmetic over GF(q), q prime.
 
-    Scalar methods operate on plain ints already reduced mod q; use
-    :meth:`element` to get a checked wrapper with operator overloads.
+    Scalar methods operate on plain ints already reduced mod q.
     """
 
     q: int
@@ -50,22 +55,13 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroDivisionError("inversion of zero in GF(%d)" % self.q)
         return pow(a, -1, self.q)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self.q)
 
     def zeros(self, n: int) -> Vector:
         return (0,) * n
@@ -101,98 +97,44 @@ class PrimeField:
         return tuple(acc)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """A value of GF(q) with operator overloads and modulus checking."""
+def _eliminate(mat: list[list[int]], n_cols: int, q: int) -> list[int]:
+    """Row-reduce ``mat`` in place over its first ``n_cols`` columns.
 
-    value: int
-    q: int
-
-    def __post_init__(self) -> None:
-        _checked_prime(self.q)
-        if not 0 <= self.value < self.q:
-            object.__setattr__(self, "value", self.value % self.q)
-
-    def _coerce(self, other: "FieldElement | int") -> int:
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ValueError(f"modulus mismatch: GF({self.q}) vs GF({other.q})")
-            return other.value
-        if isinstance(other, int):
-            return other % self.q
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement((self.value + self._coerce(other)) % self.q, self.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement((self.value - self._coerce(other)) % self.q, self.q)
-
-    def __rsub__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement((self._coerce(other) - self.value) % self.q, self.q)
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement((self.value * self._coerce(other)) % self.q, self.q)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.q, self.q)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inversion of zero in GF({self.q})")
-        return FieldElement(pow(self.value, -1, self.q), self.q)
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        c = self._coerce(other)
-        if c == 0:
-            raise ZeroDivisionError(f"inversion of zero in GF({self.q})")
-        return FieldElement((self.value * pow(c, -1, self.q)) % self.q, self.q)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-def _echelon(rows: Sequence[Vector], q: int) -> list[list[int]]:
-    """Row-reduce a copy of ``rows`` to reduced row echelon form.
-
-    Pivoting is deterministic: rows are processed in order, pivot columns
-    scanned left to right, so identical input always gives identical output.
+    Entries must already lie in ``range(q)``.  Pivoting is deterministic:
+    rows are processed in order, pivot columns scanned left to right, so
+    identical input always gives identical output.  Returns the pivot
+    column of each leading row (row k pivots in column ``pivots[k]``); the
+    rows below them are zero in the first ``n_cols`` columns.
     """
-    field = PrimeField(q)
-    mat = [list(r) for r in rows]
-    n_cols = len(mat[0]) if mat else 0
-    pivot_row = 0
+    pivots: list[int] = []
+    n_rows = len(mat)
     for col in range(n_cols):
-        sel = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col] % q:
-                sel = r
+        row = len(pivots)
+        for sel in range(row, n_rows):
+            if mat[sel][col]:
                 break
-        if sel is None:
+        else:
             continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = field.inv(mat[pivot_row][col])
-        mat[pivot_row] = [(x * inv) % q for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] % q:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % q for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
+        mat[row], mat[sel] = mat[sel], mat[row]
+        inv = pow(mat[row][col], -1, q)
+        pivot = mat[row] = [(x * inv) % q for x in mat[row]]
+        for r in range(n_rows):
+            c = mat[r][col]
+            if c and r != row:
+                mat[r] = [(a - c * b) % q for a, b in zip(mat[r], pivot)]
+        pivots.append(col)
+        if len(pivots) == n_rows:
             break
-    return mat
+    return pivots
 
 
 def rank(rows: Sequence[Vector], q: int) -> int:
     """Rank of the row space of ``rows`` over GF(q)."""
     if not rows:
         return 0
-    mat = _echelon(rows, q)
-    return sum(1 for row in mat if any(x % q for x in row))
+    _checked_prime(q)
+    mat = [[x % q for x in r] for r in rows]
+    return len(_eliminate(mat, len(mat[0]), q))
 
 
 def in_span(target: Vector, rows: Sequence[Vector], q: int) -> Vector | None:
@@ -214,50 +156,15 @@ def in_span(target: Vector, rows: Sequence[Vector], q: int) -> Vector | None:
     m = len(rows)
     aug = [[rows[r][c] % q for r in range(m)] + [target[c] % q] for c in range(n)]
     field = PrimeField(q)
-    pivot_row = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(m):
-        sel = None
-        for r in range(pivot_row, n):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        inv = field.inv(aug[pivot_row][col])
-        aug[pivot_row] = [(x * inv) % q for x in aug[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(a - c * b) % q for a, b in zip(aug[r], aug[pivot_row])]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-        if pivot_row == n:
-            break
-    # Inconsistent if a zero row has nonzero rhs.
-    for r in range(len(pivots), n):
-        if aug[r][m] and not any(aug[r][c] for c in range(m)):
-            return None
+    pivots = _eliminate(aug, m, q)
+    # Inconsistent if a row left zero in every coefficient column has nonzero rhs.
+    if any(aug[r][m] for r in range(len(pivots), n)):
+        return None
     coeffs = [0] * m
-    for r, col in pivots:
+    for r, col in enumerate(pivots):
         coeffs[col] = aug[r][m]
     # Consistency can still fail when non-pivot structure absorbs nothing.
     combined = field.vec_combine(coeffs, rows, n)
     if combined != tuple(x % q for x in target):
         return None
     return tuple(coeffs)
-
-
-def span_members(rows: Sequence[Vector], q: int, n: int) -> list[Vector]:
-    """All vectors in the span of ``rows``, in ascending tuple order."""
-    basis = [tuple(row) for row in _echelon(rows, q) if any(x % q for x in row)]
-    field = PrimeField(q)
-    members = {(0,) * n}
-    for b in basis:
-        extended = set()
-        for v in members:
-            for c in range(1, q):
-                extended.add(field.vec_add(v, field.vec_scale(c, b)))
-        members |= extended
-    return sorted(members)

@@ -353,7 +353,7 @@ def save_instance(instance: UnicastInstance, path: str) -> None:
         fh.write(serialize_instance(instance))
 
 
-# -- normalization and time expansion --------------------------------------
+# -- endpoint attachment and time expansion --------------------------------
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -364,39 +364,32 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def normalize(
-    instance: UnicastInstance,
-) -> tuple[UnicastInstance, dict[int, Session]]:
-    """Attach artificial endpoints so sources have no in-edges and terminals
-    no out-edges.
+def attach_endpoints(
+    instance: UnicastInstance, width: Mapping[int, int] | Sequence[int]
+) -> UnicastInstance:
+    """Attach private session endpoints joined by ``width[i]`` parallel edges.
 
-    Each attachment uses rate-many parallel unit edges, which caps the
-    session's max-flow at ``min(rate, original max-flow)``.  Returns the new
-    instance and a map from session index to its new endpoints; an already
-    normalized instance round-trips identically with an identity map.
+    Fresh source ``~s<i>`` feeds session i's source and its terminal feeds
+    fresh terminal ``~t<i>``, so no source has in-edges and no terminal has
+    out-edges.  The attachment bounds session i's max-flow above by
+    width[i] while any width[i] edge-disjoint paths survive below it, so
+    the result has connectivity exactly min(width[i], previous max-flow)
+    per session.  Original edge ids are preserved; attachments come after
+    them.
     """
     names = list(instance.names)
     taken = set(names)
     edges = list(instance.edges)
-    new_sessions: list[Session] = []
-    mapping: dict[int, Session] = {}
+    sessions: list[Session] = []
     for i, s in enumerate(instance.sessions):
-        src, dst = s.source, s.terminal
-        if instance.in_edges[src]:
-            names.append(_fresh_name(f"~s{i + 1}", taken))
-            new_src = len(names) - 1
-            edges.extend([(new_src, src)] * s.rate)
-            src = new_src
-        if instance.out_edges[dst]:
-            names.append(_fresh_name(f"~t{i + 1}", taken))
-            new_dst = len(names) - 1
-            edges.extend([(dst, new_dst)] * s.rate)
-            dst = new_dst
-        new = Session(src, dst, s.rate)
-        new_sessions.append(new)
-        mapping[i] = new
-    result = UnicastInstance(tuple(names), tuple(edges), tuple(new_sessions))
-    return result, mapping
+        names.append(_fresh_name(f"~s{i + 1}", taken))
+        src = len(names) - 1
+        names.append(_fresh_name(f"~t{i + 1}", taken))
+        dst = len(names) - 1
+        edges.extend([(src, s.source)] * width[i])
+        edges.extend([(s.terminal, dst)] * width[i])
+        sessions.append(Session(src, dst, s.rate))
+    return UnicastInstance(tuple(names), tuple(edges), tuple(sessions))
 
 
 def expand_time(

@@ -46,12 +46,15 @@ class NetworkCode:
     def validate(self, instance: UnicastInstance) -> UnicastInstance:
         """Check structural fit against ``instance``; returns the expanded
         instance the code lives on."""
-        expanded, _ = expand_time(instance, self.T)
-        if len(self.rules) != expanded.n_edges:
+        # checked before expanding, which costs time and memory linear in T
+        if self.T < 1:
+            raise CodeError(f"T must be >= 1, got {self.T}")
+        if len(self.rules) != instance.n_edges * self.T:
             raise CodeError(
                 f"code covers {len(self.rules)} edges, expanded instance has "
-                f"{expanded.n_edges}"
+                f"{instance.n_edges * self.T}"
             )
+        expanded, _ = expand_time(instance, self.T)
         PrimeField(self.q)
         for eid, rule in enumerate(self.rules):
             tail = expanded.tail(eid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .gf import PrimeField
 from .graph import Session, UnicastInstance, build_instance, expand_time
@@ -248,12 +248,11 @@ class _Budget(Exception):
 
 
 class _PackedOps:
-    """Length-L vectors over GF(q) packed into base-q integers."""
+    """Vectors over GF(q) packed into base-q integers, digit k holding
+    coordinate k."""
 
-    def __init__(self, q: int, length: int):
+    def __init__(self, q: int):
         self.q = q
-        self.L = length
-        self.size = q**length
 
     def unit(self, k: int) -> int:
         return self.q**k
@@ -285,14 +284,6 @@ class _PackedOps:
             base *= q
         return out
 
-    def unpack(self, v: int) -> tuple[int, ...]:
-        q = self.q
-        digits = []
-        for _ in range(self.L):
-            v, d = divmod(v, q)
-            digits.append(d)
-        return tuple(digits)
-
 
 def _decodable(ops: _PackedOps, vectors: Iterable[int], symbols: Iterable[int]) -> bool:
     # span of at most a handful of packed vectors, built element by element
@@ -303,10 +294,6 @@ def _decodable(ops: _PackedOps, vectors: Iterable[int], symbols: Iterable[int]) 
         scaled = [ops.scale(c, v) for c in range(1, ops.q)]
         span |= {ops.add(s, w) for s in span for w in scaled}
     return all(ops.unit(k) in span for k in symbols)
-
-
-def _scalar_blocks(q: int, width: int) -> Iterator[tuple[int, ...]]:
-    yield from product(range(q), repeat=width)
 
 
 def _routing_blocks(n_in: int, n_src: int) -> list[tuple[int, ...]]:
@@ -323,15 +310,12 @@ def _search(
     T: int,
     budget: int,
     routing: bool,
-    jobs: int,
 ) -> SearchReport:
     if budget < 1:
         raise ValueError("budget must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     PrimeField(q)
     expanded, _ = expand_time(instance, T)
-    ops = _PackedOps(q, expanded.n_symbols)
+    ops = _PackedOps(q)
     order = expanded.edges_in_topo_order()
     M = len(order)
     pos = [0] * M
@@ -397,7 +381,7 @@ def _search(
         if routing:
             blocks = block_lists[i]
         else:
-            blocks = _scalar_blocks(q, n_in + len(src_ids))
+            blocks = product(range(q), repeat=n_in + len(src_ids))
         for block in blocks:
             counter += 1
             if counter > budget:
@@ -466,16 +450,14 @@ def brute_force_scalar(
     T: int = 1,
     *,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> SearchReport:
     """Exhaustive search for a linear code over GF(q) on the T-expanded graph.
 
     Assignments are explored in lexicographic order of the per-edge
     coefficient blocks (edges in topological order), so a returned code is
-    the lexicographically first one.  ``jobs`` is accepted as a partition
-    hint; enumeration order and results do not depend on it.
+    the lexicographically first one.
     """
-    return _search(instance, q, T, budget, routing=False, jobs=jobs)
+    return _search(instance, q, T, budget, routing=False)
 
 
 def brute_force_routing(
@@ -483,7 +465,6 @@ def brute_force_routing(
     T: int = 1,
     *,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> SearchReport:
     """Exhaustive search for a routing solution on the T-expanded graph.
 
@@ -493,4 +474,4 @@ def brute_force_routing(
     be present verbatim on an in-edge or as a local injection, so the same
     global vectors are reachable with one-hot rules.
     """
-    return _search(instance, 2, T, budget, routing=True, jobs=jobs)
+    return _search(instance, 2, T, budget, routing=True)

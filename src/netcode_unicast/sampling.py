@@ -10,7 +10,7 @@ by construction, and all internal nodes have total degree at most 3.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graph import UnicastInstance, build_instance
 
@@ -27,9 +27,7 @@ def _weave_build(
     rng: random.Random,
     chains: Sequence[int],
     rates: Sequence[int],
-    may_cross: Callable[[int, int], bool],
     weave_prob: float,
-    relay_hi: int = 2,
 ) -> UnicastInstance:
     """Chains plus pairwise crossings, acyclic by a global crossing order.
 
@@ -41,7 +39,7 @@ def _weave_build(
     weaves: list[tuple[PathId, PathId]] = []
     for pi, p in enumerate(paths):
         for other in paths[pi + 1 :]:
-            if p[0] == other[0] or not may_cross(p[0], other[0]):
+            if p[0] == other[0]:
                 continue
             if rng.random() < weave_prob:
                 weaves.append((p, other))
@@ -61,7 +59,7 @@ def _weave_build(
         return f"n{counter}"
 
     def pad(cur: str) -> str:
-        for _ in range(rng.randint(0, relay_hi)):
+        for _ in range(rng.randint(0, 2)):
             nxt = relay()
             edges.append((cur, nxt))
             cur = nxt
@@ -99,28 +97,14 @@ def sample_1m(seed: int | random.Random, m: int, weave_prob: float = 0.6) -> Uni
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    rng = _rng(seed)
-    return _weave_build(
-        rng,
-        chains=(1, m + 1),
-        rates=(1, m),
-        may_cross=lambda i, k: True,
-        weave_prob=weave_prob,
-    )
+    return _weave_build(_rng(seed), (1, m + 1), (1, m), weave_prob)
 
 
 def sample_uniform(seed: int | random.Random, n: int, weave_prob: float = 0.35) -> UnicastInstance:
     """Random n-session unit-rate instance with connectivity [n, ..., n]."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = _rng(seed)
-    return _weave_build(
-        rng,
-        chains=(n,) * n,
-        rates=(1,) * n,
-        may_cross=lambda i, k: True,
-        weave_prob=weave_prob,
-    )
+    return _weave_build(_rng(seed), (n,) * n, (1,) * n, weave_prob)
 
 
 def sample_triple(
@@ -131,11 +115,4 @@ def sample_triple(
     """Random three-session unit-rate instance with the given connectivity."""
     if len(triple) != 3 or any(k < 1 for k in triple):
         raise ValueError("triple must hold three values of at least 1")
-    rng = _rng(seed)
-    return _weave_build(
-        rng,
-        chains=tuple(triple),
-        rates=(1, 1, 1),
-        may_cross=lambda i, k: True,
-        weave_prob=weave_prob,
-    )
+    return _weave_build(_rng(seed), tuple(triple), (1, 1, 1), weave_prob)

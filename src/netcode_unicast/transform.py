@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flows import _augment, connectivity_level, max_flow
-from .graph import InstanceError, Path, Session, UnicastInstance, _fresh_name
+from .flows import _augment, connectivity_level
+from .graph import Path, Session, UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, propagate, verify_code
 
 
@@ -108,64 +108,6 @@ def minimize(instance: UnicastInstance) -> MinimizeResult:
     return _prune(instance, connectivity_level(instance))
 
 
-def prune_to_connectivity(
-    instance: UnicastInstance, target: tuple[int, ...]
-) -> MinimizeResult:
-    """Prune while keeping connectivity componentwise >= ``target``.
-
-    When each session's max-flow already equals its target (for instance
-    because private attachment edges cap it), the result keeps exactly the
-    target vector; in general it only guarantees >=.
-    """
-    levels = connectivity_level(instance)
-    if any(have < want for have, want in zip(levels, target)):
-        raise InstanceError(f"connectivity {levels} below target {tuple(target)}")
-    return _prune(instance, tuple(target))
-
-
-# -- session endpoint isolation ---------------------------------------------
-
-
-def isolate_sessions(
-    instance: UnicastInstance,
-) -> tuple[UnicastInstance, dict[int, Session]]:
-    """Give every session private endpoints without changing connectivity.
-
-    A session source is replaced by a fresh node attached with max-flow-many
-    parallel edges when the original node is shared with another session or
-    has in-edges; terminals likewise.  The attachment multiplicity equals the
-    session's current max-flow, so the connectivity vector is preserved and
-    the new endpoint caps the session structurally at that value.
-    """
-    endpoint_uses: dict[int, int] = {}
-    for s in instance.sessions:
-        endpoint_uses[s.source] = endpoint_uses.get(s.source, 0) + 1
-        endpoint_uses[s.terminal] = endpoint_uses.get(s.terminal, 0) + 1
-
-    names = list(instance.names)
-    taken = set(names)
-    edges = list(instance.edges)
-    sessions: list[Session] = []
-    mapping: dict[int, Session] = {}
-    for i, s in enumerate(instance.sessions):
-        flow = max_flow(instance, i)
-        src, dst = s.source, s.terminal
-        if endpoint_uses[src] > 1 or instance.in_edges[src]:
-            names.append(_fresh_name(f"~s{i + 1}", taken))
-            new_src = len(names) - 1
-            edges.extend([(new_src, src)] * flow)
-            src = new_src
-        if endpoint_uses[dst] > 1 or instance.out_edges[dst]:
-            names.append(_fresh_name(f"~t{i + 1}", taken))
-            new_dst = len(names) - 1
-            edges.extend([(dst, new_dst)] * flow)
-            dst = new_dst
-        new = Session(src, dst, s.rate)
-        sessions.append(new)
-        mapping[i] = new
-    return UnicastInstance(tuple(names), tuple(edges), tuple(sessions)), mapping
-
-
 # -- degree-3 structuring ----------------------------------------------------
 
 GADGET = -1  # origin marker for gadget-internal edges
@@ -175,15 +117,12 @@ GADGET = -1  # origin marker for gadget-internal edges
 class StructuredInstance:
     """Result of degree reduction.
 
-    ``forward`` maps each original edge to its image path (original edges
-    keep their ids, so every image is a single edge).  ``origin`` maps each
-    new edge back to its original id, or ``GADGET`` for crossbar-internal
-    edges.  ``gadget_nodes`` lists the replaced node ids of the original
-    instance.
+    Original edges keep their ids.  ``origin`` maps each new edge back to
+    its original id, or ``GADGET`` for crossbar-internal edges.
+    ``gadget_nodes`` lists the replaced node ids of the original instance.
     """
 
     instance: UnicastInstance
-    forward: tuple[tuple[int, ...], ...]
     origin: tuple[int, ...]
     gadget_nodes: tuple[int, ...]
 
@@ -248,16 +187,16 @@ def structure(instance: UnicastInstance) -> StructuredInstance:
                     origin.append(GADGET)
 
     structured = UnicastInstance(tuple(names), tuple(edges), instance.sessions)
-    forward = tuple((e,) for e in range(instance.n_edges))
-    return StructuredInstance(structured, forward, tuple(origin), tuple(gadget_nodes))
+    return StructuredInstance(structured, tuple(origin), tuple(gadget_nodes))
 
 
-def internal_degree_ok(instance: UnicastInstance, limit: int = 3) -> bool:
+def internal_degree_ok(instance: UnicastInstance) -> bool:
+    """True when every node other than a session endpoint has degree <= 3."""
     endpoints = {s.source for s in instance.sessions} | {
         s.terminal for s in instance.sessions
     }
     return all(
-        len(instance.in_edges[v]) + len(instance.out_edges[v]) <= limit
+        len(instance.in_edges[v]) + len(instance.out_edges[v]) <= 3
         for v in range(instance.n_nodes)
         if v not in endpoints
     )
@@ -295,29 +234,22 @@ def lift_code(
 # -- overlap segments --------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class OverlapSegment:
-    """A maximal run of edges shared by two paths, in path order.
+def overlap_segments(p: Path, q: Path) -> list[tuple[int, ...]]:
+    """Maximal runs of edges shared by two paths, each in path order.
 
     On directed paths of a DAG, edges adjacent in one path and shared by the
     other are adjacent in the other as well, so maximal runs are identical
     viewed from either path.
     """
-
-    edges: tuple[int, ...]
-    pair: tuple[int, int] | None = None
-
-
-def overlap_segments(p: Path, q: Path) -> list[OverlapSegment]:
     shared = set(p.edge_ids) & set(q.edge_ids)
-    segments: list[OverlapSegment] = []
+    segments: list[tuple[int, ...]] = []
     run: list[int] = []
     for eid in p.edge_ids:
         if eid in shared:
             run.append(eid)
         elif run:
-            segments.append(OverlapSegment(tuple(run)))
+            segments.append(tuple(run))
             run = []
     if run:
-        segments.append(OverlapSegment(tuple(run)))
+        segments.append(tuple(run))
     return segments

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import time
 
 import pytest
 
@@ -19,9 +20,13 @@ from netcode_unicast import (
     sample_triple,
     sample_uniform,
     save_instance,
+    propagate,
+    serialize_code,
     verify_code,
 )
+from netcode_unicast import netcode
 from netcode_unicast.cli import main
+from test_netcode import BUTTERFLY, BUTTERFLY_CODE
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -334,6 +339,67 @@ def test_verify_malformed_code_exits_2(fig2b, tmp_path):
     assert err.startswith("error:")
 
 
+def _butterfly_files(tmp_path, globals_table=None):
+    src = tmp_path / "butterfly.txt"
+    code_path = tmp_path / "butterfly.code"
+    save_instance(BUTTERFLY, str(src))
+    code_path.write_text(serialize_code(BUTTERFLY_CODE, globals_table))
+    return str(src), code_path
+
+
+def test_verify_accepts_matching_global_lines(tmp_path):
+    src, plain = _butterfly_files(tmp_path)
+    expected = run_cli("verify", src, str(plain))
+    assert expected[0] == 0
+    _, with_globals = _butterfly_files(tmp_path, propagate(BUTTERFLY, BUTTERFLY_CODE))
+    assert "global 4 : 1,1" in with_globals.read_text()
+    assert run_cli("verify", src, str(with_globals)) == expected
+
+
+@pytest.mark.parametrize(
+    "old, new, eid",
+    [
+        ("global 4 : 1,1", "global 4 : 1,0", 4),  # wrong vector
+        ("global 6 : 1,1", "global 6 : 1,1\nglobal 7 : 0,0", 7),  # no edge 7
+    ],
+)
+def test_verify_reports_mismatched_global_line(tmp_path, old, new, eid):
+    src, code_path = _butterfly_files(tmp_path, propagate(BUTTERFLY, BUTTERFLY_CODE))
+    code_path.write_text(code_path.read_text().replace(old, new))
+    rc, out, _ = run_cli("verify", src, str(code_path))
+    assert rc == 1
+    # the code itself still decodes; only the global table is wrong
+    assert out.splitlines()[-3:] == [
+        "terminal 2: pass x1 = 1*e2 + 1*e6",
+        f"global {eid}: mismatch",
+        "RESULT: verification failed",
+    ]
+
+
+def test_verify_huge_T_exits_2_before_expanding(fig1, tmp_path, monkeypatch):
+    code_path = tmp_path / "huge.code"
+    code_path.write_text("field q=2\nvector T=1000000\ncode 0 :\n")
+
+    def no_expansion(instance, T):
+        raise AssertionError(f"expanded to T={T} before checking the rule count")
+
+    # expanding fig1's 16 edges first took 17 s and 4.8 GB at this T
+    monkeypatch.setattr(netcode, "expand_time", no_expansion)
+    start = time.process_time()
+    rc, _, err = run_cli("verify", fig1, str(code_path))
+    assert time.process_time() - start < 0.5
+    assert rc == 2
+    assert "covers 1 edges, expanded instance has 16000000" in err
+
+
+def test_verify_nonpositive_T_exits_2(fig1, tmp_path):
+    code_path = tmp_path / "zero.code"
+    code_path.write_text("field q=2\nvector T=0\n")
+    rc, _, err = run_cli("verify", fig1, str(code_path))
+    assert rc == 2
+    assert "T must be >= 1, got 0" in err
+
+
 # ---------------------------------------------------------------- classify
 
 
@@ -418,6 +484,16 @@ def test_search_rejects_composite_field(fig2b):
     rc, _, err = run_cli("search", fig2b, "--q", "4")
     assert rc == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("command", ["code", "search"])
+def test_huge_field_order_exits_2(fig1, tmp_path, command):
+    # a prime with 19 digits; trial division on it would not finish
+    out_path = str(tmp_path / "huge.code")
+    rc, out, err = run_cli(command, fig1, "--q", "1000000000000000003", "-o", out_path)
+    assert rc == 2
+    assert out == ""
+    assert "at most 2**31 - 1" in err
 
 
 # ---------------------------------------------------------------- export-dot

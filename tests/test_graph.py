@@ -1,15 +1,16 @@
-"""Instance model, file round-trips, normalization, time expansion."""
+"""Instance model, file round-trips, endpoint attachment, time expansion."""
 
 import pytest
 
+from netcode_unicast.flows import connectivity_level
 from netcode_unicast.graph import (
     InstanceError,
     Path,
     Session,
     UnicastInstance,
+    attach_endpoints,
     build_instance,
     expand_time,
-    normalize,
     parse_instance,
     serialize_instance,
 )
@@ -130,40 +131,46 @@ def test_path_validation():
         Path(()).validate(inst, 0, 2)
 
 
-def test_normalize_attaches_rate_many_edges():
+def test_attach_endpoints_adds_width_many_edges():
     # source s2 sits mid-graph; terminal t1 has an out-edge
     inst = build_instance(
         [("s1", "s2"), ("s2", "t1"), ("t1", "x")],
         [("s1", "t1", 1), ("s2", "x", 2)],
     )
-    norm, mapping = normalize(inst)
-    # session 1: terminal t1 has out-edges -> new terminal ~t1
-    # session 2: source s2 has in-edges -> new source ~s2, rate 2 edges
-    assert norm.names[:4] == inst.names
-    s1, s2 = norm.sessions
-    assert norm.names[s1.terminal] == "~t1"
-    assert norm.names[s2.source] == "~s2"
-    assert len([e for e in norm.edges if e == (s2.source, inst.node_id("s2"))]) == 2
-    assert mapping == {0: s1, 1: s2}
-    # every source is now clean, every terminal is a sink
-    for s in norm.sessions:
-        assert norm.in_edges[s.source] == ()
-        assert norm.out_edges[s.terminal] == ()
+    capped = attach_endpoints(inst, (1, 2))
+    assert capped.names == inst.names + ("~s1", "~t1", "~s2", "~t2")
+    # original edges keep their ids; per session, width edges into the old
+    # source, then width edges out of the old terminal
+    s1, s2, t1, x = (inst.node_id(v) for v in ("s1", "s2", "t1", "x"))
+    assert capped.edges[:3] == inst.edges
+    assert capped.edges[3:] == ((4, s1), (t1, 5), (6, s2), (6, s2), (x, 7), (x, 7))
+    assert capped.sessions == (Session(4, 5, 1), Session(6, 7, 2))
+    # capped at min(width, max-flow): session 2 still has one path only
+    assert connectivity_level(capped) == (1, 1)
+    for s in capped.sessions:
+        assert capped.in_edges[s.source] == ()
+        assert capped.out_edges[s.terminal] == ()
 
 
-def test_normalize_idempotent():
-    inst = build_instance([("s", "a"), ("a", "t")], [("s", "t")])
-    norm, mapping = normalize(inst)
-    assert norm == inst
-    assert mapping == {0: Session(0, 2)}
+def test_attach_endpoints_at_connectivity_isolates_sessions():
+    inst = build_instance(
+        [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")],
+        [("s", "t"), ("s", "t")],
+    )
+    before = connectivity_level(inst)
+    iso = attach_endpoints(inst, before)
+    assert connectivity_level(iso) == before
+    flat = [v for s in iso.sessions for v in (s.source, s.terminal)]
+    assert len(set(flat)) == len(flat)
 
 
-def test_normalize_fresh_names_avoid_collisions():
+def test_attach_endpoints_fresh_names_avoid_collisions():
     inst = build_instance(
         [("a", "~s1"), ("~s1", "b")], [("~s1", "b")]
     )
-    norm, _ = normalize(inst)
-    assert len(set(norm.names)) == len(norm.names)
+    capped = attach_endpoints(inst, (1,))
+    assert len(set(capped.names)) == len(capped.names)
+    assert capped.names[capped.sessions[0].source] == "~s1~"
 
 
 def test_expand_time_ids_and_lineage():

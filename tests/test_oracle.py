@@ -264,8 +264,6 @@ def test_search_rejects_bad_arguments():
         brute_force_scalar(BUTTERFLY, 4)
     with pytest.raises(ValueError):
         brute_force_scalar(BUTTERFLY, 2, budget=0)
-    with pytest.raises(ValueError):
-        brute_force_scalar(BUTTERFLY, 2, jobs=0)
 
 
 def test_search_report_summary_format():

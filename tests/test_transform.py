@@ -8,12 +8,11 @@ from netcode_unicast import constructors
 from netcode_unicast.constructors import assign_133
 from netcode_unicast.flows import connectivity_level, edge_disjoint_paths, max_flow
 from netcode_unicast.graph import (
-    InstanceError,
     Path,
     Session,
     UnicastInstance,
+    attach_endpoints,
     build_instance,
-    normalize,
 )
 from netcode_unicast.netcode import (
     CodeError,
@@ -27,19 +26,18 @@ from netcode_unicast.sampling import sample_1m, sample_triple, sample_uniform
 from netcode_unicast.transform import (
     GADGET,
     MinimizeResult,
+    _prune,
     internal_degree_ok,
-    isolate_sessions,
     lift_code,
     minimize,
     overlap_segments,
-    prune_to_connectivity,
     structure,
 )
 
 
 def _prune_oracle(instance, target):
-    """Repeated-pass pruning, the reference for ``minimize`` and
-    ``prune_to_connectivity``: rebuild the instance without each candidate
+    """Repeated-pass pruning, the reference for ``minimize`` and ``_prune``
+    at targets below max-flow: rebuild the instance without each candidate
     edge (ascending id), recompute every max-flow anew, and pass
     again until a pass removes nothing.  Returns the result and the edges
     each pass removed."""
@@ -65,7 +63,7 @@ def assert_matches_oracle(instance, target=None):
     if target is None:
         assert minimize(instance) == _prune_oracle(instance, connectivity_level(instance))[0]
     else:
-        assert prune_to_connectivity(instance, target) == _prune_oracle(instance, target)[0]
+        assert _prune(instance, target) == _prune_oracle(instance, target)[0]
 
 
 def test_minimize_fixpoint_on_disjoint_paths():
@@ -118,12 +116,10 @@ def test_prune_to_connectivity():
         [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")], [("s", "t")]
     )
     assert connectivity_level(inst) == (2,)
-    res = prune_to_connectivity(inst, (1,))
+    res = _prune(inst, (1,))
     assert connectivity_level(res.instance) == (1,)
     # ascending scan removed the s->a branch first
     assert res.removed == (0, 2)
-    with pytest.raises(InstanceError, match="below target"):
-        prune_to_connectivity(inst, (3,))
 
 
 def test_structure_noop_below_degree_limit():
@@ -133,7 +129,6 @@ def test_structure_noop_below_degree_limit():
     res = structure(inst)
     assert res.gadget_nodes == ()
     assert res.instance == inst
-    assert res.forward == ((0,), (1,), (2,))
     assert all(o != GADGET for o in res.origin)
 
 
@@ -159,7 +154,7 @@ def test_structure_replaces_hub():
     assert internal_degree_ok(res.instance)
     assert connectivity_level(res.instance) == connectivity_level(inst) == (1, 1, 1)
     # original edges keep their ids; the hub edges were re-attached
-    assert res.forward == tuple((e,) for e in range(6))
+    assert res.origin[:6] == tuple(range(6))
     assert res.instance.edges[0][0] == inst.node_id("s1")
     assert res.instance.edges[3][1] == inst.node_id("t1")
     # 3x3 grid: 9 cells = 9 internal edges + 6 right + 6 down
@@ -280,7 +275,7 @@ def test_overlap_segments_basic():
         [("a", "b"), ("b", "c"), ("c", "d")], [("a", "d")]
     )
     p = Path((0, 1, 2))
-    assert overlap_segments(p, p) == [type(overlap_segments(p, p)[0])((0, 1, 2))]
+    assert overlap_segments(p, p) == [(0, 1, 2)]
     q = Path((0,))
     assert overlap_segments(Path((1, 2)), q) == []
 
@@ -304,46 +299,15 @@ def test_overlap_segments_two_runs():
     p = Path((0, 1, 2, 3, 4))
     q = Path((5, 1, 6, 7, 3, 8))
     segs = overlap_segments(p, q)
-    assert [s.edges for s in segs] == [(1,), (3,)]
+    assert segs == [(1,), (3,)]
     # maximality: no shared edge enters the first segment's tail or leaves
     # the last segment's head
     for seg in segs:
-        first_tail = inst.tail(seg.edges[0])
-        last_head = inst.head(seg.edges[-1])
+        first_tail = inst.tail(seg[0])
+        last_head = inst.head(seg[-1])
         shared = set(p.edge_ids) & set(q.edge_ids)
-        assert not any(
-            e in shared for e in inst.in_edges[first_tail] if e not in seg.edges
-        )
-        assert not any(
-            e in shared for e in inst.out_edges[last_head] if e not in seg.edges
-        )
-
-
-def test_isolate_sessions_shared_endpoints():
-    inst = build_instance(
-        [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")],
-        [("s", "t"), ("s", "t")],
-    )
-    before = connectivity_level(inst)
-    iso, mapping = isolate_sessions(inst)
-    assert connectivity_level(iso) == before
-    endpoints = [
-        (s.source, s.terminal) for s in iso.sessions
-    ]
-    flat = [v for pair in endpoints for v in pair]
-    assert len(set(flat)) == len(flat)
-    for i, s in enumerate(iso.sessions):
-        assert mapping[i] == s
-        assert iso.in_edges[s.source] == ()
-        assert iso.out_edges[s.terminal] == ()
-
-
-def test_isolate_sessions_noop_when_private():
-    inst = build_instance(
-        [("s1", "t1"), ("s2", "t2")], [("s1", "t1"), ("s2", "t2")]
-    )
-    iso, _ = isolate_sessions(inst)
-    assert iso == inst
+        assert not any(e in shared for e in inst.in_edges[first_tail] if e not in seg)
+        assert not any(e in shared for e in inst.out_edges[last_head] if e not in seg)
 
 
 @st.composite
@@ -379,9 +343,10 @@ def test_minimize_random_postcondition(inst):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(small_instance())
 def test_structure_random_postconditions(raw):
-    # the vertex-disjointness guarantee assumes a normalized input, where no
-    # session endpoint can sit in the middle of another session's path
-    inst, _ = normalize(raw)
+    # the vertex-disjointness guarantee assumes fresh endpoints (no in-edges
+    # at sources, no out-edges at terminals), so no session endpoint can sit
+    # in the middle of another session's path
+    inst = attach_endpoints(raw, connectivity_level(raw))
     res = structure(inst)
     assert internal_degree_ok(res.instance)
     assert connectivity_level(res.instance) == connectivity_level(inst)
