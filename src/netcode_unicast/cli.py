@@ -175,19 +175,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     code, globals_table = load_code(args.code)
     result = verify_code(inst, code)
-    expanded = code.validate(inst)
     for report in result.reports:
         if not report.passed:
             print(f"terminal {report.session + 1}: fail")
             continue
-        offset = expanded.symbol_offsets()[report.session]
+        # the T-expanded instance multiplies every rate, so every offset, by T
+        offset = code.T * inst.symbol_offsets()[report.session]
         parts = [
             f"x{offset + k} = {_decoder_terms(report.in_edges, d)}"
             for k, d in enumerate(report.decoders)
         ]
         print(f"terminal {report.session + 1}: pass " + "; ".join(parts))
     # a 'global' line must repeat the propagated vector of its edge verbatim
-    vectors = propagate(inst, code) if globals_table else ()
+    vectors = result.vectors
     mismatched = [
         eid
         for eid, vec in sorted((globals_table or {}).items())

@@ -62,9 +62,10 @@ def route_uniform(instance: UnicastInstance, q: int = 2) -> NetworkCode:
                 # layer-alpha copy of a base edge carries symbol j untouched
                 plan[eid * n + alpha] = F.unit(L, offset + j)
     code = code_from_plan(instance, q, n, plan)
-    if not is_routing(propagate(instance, code)):
+    result = verify_code(instance, code)
+    if not is_routing(result.vectors):
         raise CodeError("internal error: routing property violated")
-    if not verify_code(instance, code).all_pass:
+    if not result.all_pass:
         raise CodeError("internal error: routing code does not verify")
     return code
 

@@ -2,25 +2,21 @@
 
 Connectivity levels are per-session max-flow values.  Cut-set infeasibility
 witnesses are node sets S whose out-cut is too small for the total rate of
-the sessions it separates; enumeration order is fixed so the first witness
-is reproducible.  Where that enumeration would be too large, the source side
-of a minimum cut is the witness: by max-flow/min-cut it violates the bound
-whenever any node set does.
+the sessions it separates.  The reported witness is the first such set in a
+fixed enumeration order, so it is reproducible, yet it is found without
+enumerating: by max-flow/min-cut, one max-flow with some nodes forced in
+and others forced out tells whether any violating set respects that choice,
+and fixing the nodes one at a time picks out the first violating set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
 from .graph import InstanceError, Path, UnicastInstance
 
 ConnectivityVector = tuple[int, ...]
-
-# Exhaustive cut enumeration is exponential in the number of nodes that are
-# not endpoints of the session subset; the scan refuses anything bigger than
-# this, and past it cutset_infeasible takes its witness from the min cut.
-MAX_FREE_NODES = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,13 +63,12 @@ def _augment(
     flow: list[int],
     source: int,
     sink: int,
-) -> tuple[int, AbstractSet[int]]:
+) -> int:
     """One BFS augmentation of ``flow`` in place.
 
-    Returns the amount pushed and the nodes the search reached; the amount
-    is 0 exactly when ``flow`` is already maximum, and then those nodes are
-    the residual-reachable source side of a minimum cut.  An arc with capacity
-    0 is absent from the residual graph unless it still carries flow.
+    Returns the amount pushed, which is 0 exactly when ``flow`` is already
+    maximum.  An arc with capacity 0 is absent from the residual graph
+    unless it still carries flow.
     """
     parent: dict[int, tuple[int, int, int] | None] = {source: None}
     queue = [source]
@@ -92,7 +87,7 @@ def _augment(
                 parent[v] = (u, a, -1)
                 queue.append(v)
     if sink not in parent:
-        return 0, parent.keys()
+        return 0
     # walk back to find the bottleneck, then augment
     bottleneck = None
     node = sink
@@ -107,7 +102,7 @@ def _augment(
         u, a, direction = parent[node]
         flow[a] += direction * bottleneck
         node = u
-    return bottleneck, parent.keys()
+    return bottleneck
 
 
 def _bfs_max_flow(
@@ -116,9 +111,8 @@ def _bfs_max_flow(
     caps: Sequence[int],
     source: int,
     sink: int,
-) -> tuple[int, list[int], set[int]]:
-    """Augmenting-path max-flow; returns (value, per-arc flow, residual
-    reachable set from the final failed search)."""
+) -> tuple[int, list[int]]:
+    """Augmenting-path max-flow; returns (value, per-arc flow)."""
     out_arcs: list[list[int]] = [[] for _ in range(n_nodes)]
     in_arcs: list[list[int]] = [[] for _ in range(n_nodes)]
     for a, (u, v) in enumerate(arcs):
@@ -127,16 +121,16 @@ def _bfs_max_flow(
     flow = [0] * len(arcs)
     value = 0
     while True:
-        pushed, reachable = _augment(arcs, out_arcs, in_arcs, caps, flow, source, sink)
+        pushed = _augment(arcs, out_arcs, in_arcs, caps, flow, source, sink)
         if not pushed:
-            return value, flow, set(reachable)
+            return value, flow
         value += pushed
 
 
 def max_flow(instance: UnicastInstance, session: int) -> int:
     """Maximum s_i -> t_i flow with every edge at capacity one."""
     s = instance.sessions[session]
-    value, _, _ = _bfs_max_flow(
+    value, _ = _bfs_max_flow(
         instance.n_nodes, instance.edges, [1] * instance.n_edges, s.source, s.terminal
     )
     return value
@@ -156,7 +150,7 @@ def edge_disjoint_paths(
     unused flow edge, so the result is deterministic.
     """
     s = instance.sessions[session]
-    value, flow, _ = _bfs_max_flow(
+    value, flow = _bfs_max_flow(
         instance.n_nodes, instance.edges, [1] * instance.n_edges, s.source, s.terminal
     )
     if k is None:
@@ -178,10 +172,9 @@ def edge_disjoint_paths(
 
 def _min_cut(
     instance: UnicastInstance, sources: set[int], terminals: set[int]
-) -> tuple[int, set[int]]:
+) -> int:
     """Smallest out-cut capacity over node sets containing ``sources`` and
-    excluding ``terminals`` (super-source/super-sink max-flow), with the
-    residual-reachable node set that attains it."""
+    excluding ``terminals`` (super-source/super-sink max-flow)."""
     n = instance.n_nodes
     super_s, super_t = n, n + 1
     arcs = list(instance.edges)
@@ -193,57 +186,7 @@ def _min_cut(
     for v in sorted(terminals):
         arcs.append((v, super_t))
         caps.append(big)
-    value, _, reachable = _bfs_max_flow(n + 2, arcs, caps, super_s, super_t)
-    return value, reachable - {super_s, super_t}
-
-
-def _free_nodes(instance: UnicastInstance, excluded: set[int]) -> list[int]:
-    return [v for v in range(instance.n_nodes) if v not in excluded]
-
-
-def _witness(
-    instance: UnicastInstance,
-    session_subset: tuple[int, ...],
-    inside: set[int],
-    required_rate: int,
-) -> CutWitness:
-    crossing = tuple(
-        e for e, (u, v) in enumerate(instance.edges) if u in inside and v not in inside
-    )
-    return CutWitness(
-        sessions=session_subset,
-        nodes=tuple(sorted(inside)),
-        cut_edges=crossing,
-        capacity=len(crossing),
-        required_rate=required_rate,
-    )
-
-
-def _scan_node_subsets(
-    instance: UnicastInstance,
-    session_subset: tuple[int, ...],
-    sources: set[int],
-    terminals: set[int],
-    required_rate: int,
-) -> CutWitness | None:
-    """First violating S (binary-counter order over free nodes, ascending id)."""
-    free = _free_nodes(instance, sources | terminals)
-    if len(free) > MAX_FREE_NODES:
-        raise InstanceError(
-            f"cut enumeration over {len(free)} free nodes exceeds the "
-            f"{MAX_FREE_NODES}-node guard"
-        )
-    for mask in range(1 << len(free)):
-        inside = set(sources)
-        for j, v in enumerate(free):
-            if mask >> j & 1:
-                inside.add(v)
-        crossing = [
-            e for e, (u, v) in enumerate(instance.edges) if u in inside and v not in inside
-        ]
-        if len(crossing) < required_rate:
-            return _witness(instance, session_subset, inside, required_rate)
-    return None
+    return _bfs_max_flow(n + 2, arcs, caps, super_s, super_t)[0]
 
 
 def _session_subsets(n: int):
@@ -251,39 +194,42 @@ def _session_subsets(n: int):
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 
-def cutset_infeasible(
-    instance: UnicastInstance, use_min_cut: bool = True
-) -> CutWitness | None:
+def cutset_infeasible(instance: UnicastInstance) -> CutWitness | None:
     """First cut-set bound violation in deterministic enumeration order.
 
-    Enumerates session subsets in binary-counter order (session 0 = low bit)
-    and, per subset, node sets S over the remaining nodes, sources forced in
-    and terminals out.  With ``use_min_cut`` a super-source/super-sink
-    max-flow skips subsets that cannot violate the bound, and a violated
-    subset with more than ``MAX_FREE_NODES`` free nodes is answered by the
-    minimum cut's residual-reachable set instead of the exponential scan;
-    within the guard the node-set scan that produces the returned witness
-    is identical either way.  Without ``use_min_cut`` the scan runs for
-    every subset and raises ``InstanceError`` past the guard.
+    Session subsets are taken in binary-counter order (session 0 = low bit);
+    the first whose sources and terminals admit a node set S with out-cut
+    below the subset's total rate is reported.  Its witness is the first
+    violating S in binary-counter order over the free nodes (ascending id,
+    sources forced in, terminals out): the highest free node is the most
+    significant bit, so from the highest down each node goes outside S
+    whenever some violating set with it outside remains.  One max-flow
+    answers each such question, so the witness costs at most one max-flow
+    per free node on top of one per session subset.
     """
     for subset in _session_subsets(len(instance.sessions)):
-        sources = {instance.sessions[i].source for i in subset}
-        terminals = {instance.sessions[i].terminal for i in subset}
-        if sources & terminals:
+        inside = {instance.sessions[i].source for i in subset}
+        outside = {instance.sessions[i].terminal for i in subset}
+        if inside & outside:
             continue
         required = sum(instance.sessions[i].rate for i in subset)
-        if use_min_cut:
-            value, inside = _min_cut(instance, sources, terminals)
-            if value >= required:
+        if _min_cut(instance, inside, outside) >= required:
+            continue
+        for node in reversed(range(instance.n_nodes)):
+            if node in inside or node in outside:
                 continue
-            if len(_free_nodes(instance, sources | terminals)) > MAX_FREE_NODES:
-                return _witness(instance, subset, inside, required)
-        witness = _scan_node_subsets(instance, subset, sources, terminals, required)
-        if witness is not None:
-            return witness
+            if _min_cut(instance, inside, outside | {node}) < required:
+                outside.add(node)
+            else:
+                inside.add(node)
+        crossing = tuple(
+            e for e, (u, v) in enumerate(instance.edges) if u in inside and v not in inside
+        )
+        return CutWitness(
+            sessions=subset,
+            nodes=tuple(sorted(inside)),
+            cut_edges=crossing,
+            capacity=len(crossing),
+            required_rate=required,
+        )
     return None
-
-
-def cutset_infeasible_exhaustive(instance: UnicastInstance) -> CutWitness | None:
-    """Plain double enumeration without the min-cut skip; agreement oracle."""
-    return cutset_infeasible(instance, use_min_cut=False)

@@ -248,13 +248,30 @@ def build_instance(
 # -- file format ----------------------------------------------------------
 
 
+# cap=c becomes c parallel edges and rate=r becomes r symbols per time step,
+# so a larger value is refused before anything is allocated for it
+MAX_COUNT = 2**16
+
+
+def _bounded_count(token: str, what: str, lineno: int) -> int:
+    """The integer after the ``=`` of ``token``, at most ``MAX_COUNT``."""
+    try:
+        value = int(token.partition("=")[2])
+    except ValueError:
+        raise InstanceError(f"line {lineno}: bad {what} {token!r}") from None
+    if value > MAX_COUNT:
+        raise InstanceError(f"line {lineno}: {what} {value} exceeds {MAX_COUNT}")
+    return value
+
+
 def parse_instance(text: str) -> UnicastInstance:
     """Parse the line-oriented instance format.
 
     Raises:
         InstanceError: with a 1-based line number on any syntax problem,
-            duplicate or non-contiguous session index, unknown node in a
-            session line, or a directed cycle.
+            ``cap=`` or ``rate=`` above ``MAX_COUNT``, duplicate or
+            non-contiguous session index, unknown node in a session line, or
+            a directed cycle.
     """
     edge_specs: list[tuple[str, str, int]] = []
     session_specs: list[tuple[int, str, str, int, int]] = []  # (idx, src, dst, rate, line)
@@ -271,10 +288,7 @@ def parse_instance(text: str) -> UnicastInstance:
             if len(parts) == 4:
                 if not parts[3].startswith("cap="):
                     raise InstanceError(f"line {lineno}: bad edge attribute {parts[3]!r}")
-                try:
-                    cap = int(parts[3][4:])
-                except ValueError:
-                    raise InstanceError(f"line {lineno}: bad capacity {parts[3]!r}") from None
+                cap = _bounded_count(parts[3], "capacity", lineno)
                 if cap < 1:
                     raise InstanceError(f"line {lineno}: capacity must be >= 1")
             edge_specs.append((parts[1], parts[2], cap))
@@ -291,10 +305,7 @@ def parse_instance(text: str) -> UnicastInstance:
             if len(parts) == 5:
                 if not parts[4].startswith("rate="):
                     raise InstanceError(f"line {lineno}: bad session attribute {parts[4]!r}")
-                try:
-                    rate = int(parts[4][5:])
-                except ValueError:
-                    raise InstanceError(f"line {lineno}: bad rate {parts[4]!r}") from None
+                rate = _bounded_count(parts[4], "rate", lineno)
             session_specs.append((idx, parts[2], parts[3], rate, lineno))
         else:
             raise InstanceError(f"line {lineno}: unknown directive {kind!r}")

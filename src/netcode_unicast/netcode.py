@@ -88,7 +88,10 @@ def zero_code(q: int, T: int, instance: UnicastInstance) -> NetworkCode:
 
 def propagate(instance: UnicastInstance, code: NetworkCode) -> tuple[Vector, ...]:
     """Global coding vectors per expanded edge, in topological edge order."""
-    expanded = code.validate(instance)
+    return _propagate(code.validate(instance), code)
+
+
+def _propagate(expanded: UnicastInstance, code: NetworkCode) -> tuple[Vector, ...]:
     F = PrimeField(code.q)
     L = expanded.n_symbols
     vectors: list[Vector] = [F.zeros(L)] * expanded.n_edges
@@ -143,7 +146,10 @@ class TerminalReport:
 
 @dataclass(frozen=True, slots=True)
 class VerifyResult:
+    """Terminal reports, and the global vector of every expanded edge."""
+
     reports: tuple[TerminalReport, ...]
+    vectors: tuple[Vector, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -154,7 +160,7 @@ def verify_code(instance: UnicastInstance, code: NetworkCode) -> VerifyResult:
     """Check every session's terminal: own unit vectors must lie in the span
     of the global vectors received on its in-edges."""
     expanded = code.validate(instance)
-    vectors = propagate(instance, code)
+    vectors = _propagate(expanded, code)
     L = expanded.n_symbols
     F = PrimeField(code.q)
     reports: list[TerminalReport] = []
@@ -172,7 +178,7 @@ def verify_code(instance: UnicastInstance, code: NetworkCode) -> VerifyResult:
                 decoders=tuple(decoders),
             )
         )
-    return VerifyResult(tuple(reports))
+    return VerifyResult(tuple(reports), vectors)
 
 
 def is_routing(vectors: Iterable[Vector]) -> bool:

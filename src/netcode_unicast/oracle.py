@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 36
+# the scalar search materialises range(q) at every node it visits, so it
+# refuses larger field orders before allocating anything
+MAX_SEARCH_FIELD_ORDER = 65537
 
 
 # ------------------------------------------------------------- classification
@@ -314,6 +317,10 @@ def _search(
     if budget < 1:
         raise ValueError("budget must be positive")
     PrimeField(q)
+    if q > MAX_SEARCH_FIELD_ORDER:
+        raise ValueError(
+            f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}"
+        )
     expanded, _ = expand_time(instance, T)
     ops = _PackedOps(q)
     order = expanded.edges_in_topo_order()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .flows import _augment, connectivity_level
 from .graph import Path, Session, UnicastInstance, _fresh_name
-from .netcode import CodeError, NetworkCode, code_from_plan, propagate, verify_code
+from .netcode import CodeError, NetworkCode, code_from_plan, verify_code
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,10 +54,9 @@ def _reroute(
         a = next(a for a in out_edges[node] if flow[a])
         flow[a] = 0
         node = edges[a][1]
-    pushed, _ = _augment(
+    return _augment(
         edges, out_edges, in_edges, caps, flow, session.source, session.terminal
-    )
-    return pushed > 0
+    ) > 0
 
 
 def _prune(instance: UnicastInstance, target: tuple[int, ...]) -> MinimizeResult:
@@ -216,9 +215,10 @@ def lift_code(
     crossbar's inputs, which are exactly the original node's in-edges, so
     the copied vectors are realizable locally.
     """
-    if not verify_code(structured.instance, code).all_pass:
+    result = verify_code(structured.instance, code)
+    if not result.all_pass:
         raise CodeError("refusing to lift a code that does not verify")
-    vectors = propagate(structured.instance, code)
+    vectors = result.vectors
     T = code.T
     plan = {
         e * T + tau: vectors[e * T + tau]

@@ -11,6 +11,8 @@ import random
 import time
 from itertools import product
 
+from cut_oracle import cutset_infeasible_exhaustive
+
 from netcode_unicast import (
     DEFAULT_BUDGET,
     assign_1m,
@@ -20,7 +22,6 @@ from netcode_unicast import (
     classify_triple,
     connectivity_level,
     cutset_infeasible,
-    cutset_infeasible_exhaustive,
     edge_disjoint_paths,
     gen_113,
     gen_222,

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import time
 
 import pytest
 
 from netcode_unicast import (
     CutWitness,
+    assign_133,
     build_instance,
     connectivity_level,
     gen_113,
@@ -137,12 +139,19 @@ def test_analyze_output_is_byte_stable(fig2a):
     assert first == second
 
 
+PAST_GUARD_WITNESS_NODES = {
+    gen_113: {"s1", "s2", "v1"},
+    gen_222: {"s1", "s2", "s3", "v1", "v2"},
+}
+
+
 @pytest.mark.parametrize(
     "gen, relays, cut",
     [(gen_113, 22, "capacity 1 rate 2"), (gen_222, 24, "capacity 2 rate 3")],
 )
 def test_analyze_witness_past_the_cut_guard(gen, relays, cut, tmp_path):
-    # v1 -> a split by enough relays that the node-set scan would refuse
+    # v1 -> a split by enough relays that an exhaustive node-set scan would
+    # refuse; the witness is still the first violating set in scan order
     base = gen()
     chain = ["v1", *(f"r{i}" for i in range(relays)), "a"]
     edges = [(base.names[u], base.names[v]) for u, v in base.edges]
@@ -158,6 +167,7 @@ def test_analyze_witness_past_the_cut_guard(gen, relays, cut, tmp_path):
     assert len(witness) == 1
     assert " ".join(witness[0][1:5]) == cut
     fields = dict(zip(witness[0][1::2], witness[0][2::2]))
+    assert set(fields["nodes"].split(",")) == PAST_GUARD_WITNESS_NODES[gen]
     CutWitness(
         sessions=tuple(int(i) - 1 for i in fields["sessions"].split(",")),
         nodes=tuple(sorted(inst.node_id(n) for n in fields["nodes"].split(","))),
@@ -180,6 +190,23 @@ def test_analyze_parse_error_exits_2(tmp_path):
     rc, _, err = run_cli("analyze", str(bad))
     assert rc == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "session 1 s t\nedge s t cap=1000000000000\n",
+        "edge s t\nsession 1 s t rate=1000000000000\n",
+    ],
+)
+def test_analyze_huge_count_exits_2(tmp_path, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    start = time.process_time()
+    rc, out, err = run_cli("analyze", str(path))
+    assert time.process_time() - start < 0.5
+    assert (rc, out) == (2, "")
+    assert "line 2:" in err and "exceeds 65536" in err
 
 
 def test_analyze_missing_file_exits_2(tmp_path):
@@ -376,6 +403,31 @@ def test_verify_reports_mismatched_global_line(tmp_path, old, new, eid):
     ]
 
 
+def test_verify_expands_the_instance_once(tmp_path, monkeypatch):
+    # a T=2 code with a global line for every expanded edge
+    inst = sample_triple(3, (1, 3, 3))
+    code = assign_133(inst)
+    src, code_path = str(tmp_path / "t.txt"), tmp_path / "t.code"
+    save_instance(inst, src)
+    code_path.write_text(serialize_code(code, propagate(inst, code)))
+    calls = []
+    real = netcode.expand_time
+
+    def counted(instance, T):
+        calls.append(T)
+        return real(instance, T)
+
+    monkeypatch.setattr(netcode, "expand_time", counted)
+    rc, out, _ = run_cli("verify", src, str(code_path))
+    assert rc == 0 and out.endswith("RESULT: verified\n")
+    assert calls == [2]
+    # each session owns two expanded symbols, numbered in session order
+    terminals = out.splitlines()[:3]
+    assert [re.findall(r"x(\d+) =", line) for line in terminals] == [
+        ["0", "1"], ["2", "3"], ["4", "5"]
+    ]
+
+
 def test_verify_huge_T_exits_2_before_expanding(fig1, tmp_path, monkeypatch):
     code_path = tmp_path / "huge.code"
     code_path.write_text("field q=2\nvector T=1000000\ncode 0 :\n")
@@ -494,6 +546,20 @@ def test_huge_field_order_exits_2(fig1, tmp_path, command):
     assert rc == 2
     assert out == ""
     assert "at most 2**31 - 1" in err
+
+
+def test_search_field_order_past_the_search_bound_exits_2(fig1):
+    # the largest field order the field accepts: listing its coefficients at
+    # a search node would need gigabytes
+    rc, out, err = run_cli("search", fig1, "--q", "2147483647")
+    assert (rc, out) == (2, "")
+    assert "search field order must be at most 65537" in err
+
+
+def test_search_accepts_the_largest_search_field_order(fig1):
+    rc, out, _ = run_cli("search", fig1, "--q", "65537", "--budget", "3")
+    assert rc == 2
+    assert out == "RESULT: field=65537 T=1 enumerated=4 exhausted=false code=none\n"
 
 
 # ---------------------------------------------------------------- export-dot

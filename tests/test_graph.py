@@ -76,11 +76,18 @@ def test_cap_expands_to_parallel_edges():
         ("edge s\nsession 1 s t\n", "expected"),
         ("vertex s t\n", "unknown directive"),
         ("edge s t weight=2\nsession 1 s t\n", "attribute"),
+        ("session 1 s t\nedge s t cap=1000000000000\n", "line 2: capacity 10+ exceeds 65536"),
+        ("session 1 s t rate=1000000000000\nedge s t\n", "line 1: rate 10+ exceeds 65536"),
     ],
 )
 def test_parse_errors(text, needle):
     with pytest.raises(InstanceError, match=needle):
         parse_instance(text)
+
+
+def test_parse_accepts_counts_at_the_bound():
+    inst = parse_instance("session 1 s t rate=65536\nedge s t cap=65536\n")
+    assert (inst.n_edges, inst.sessions[0].rate) == (2**16, 2**16)
 
 
 def test_session_order_in_file_is_by_index():

@@ -5,12 +5,9 @@ import inspect
 from itertools import permutations, product
 
 import pytest
+from cut_oracle import cutset_infeasible_exhaustive
 
-from netcode_unicast.flows import (
-    connectivity_level,
-    cutset_infeasible,
-    cutset_infeasible_exhaustive,
-)
+from netcode_unicast.flows import connectivity_level, cutset_infeasible
 from netcode_unicast.gf import PrimeField
 from netcode_unicast.graph import build_instance
 from netcode_unicast.netcode import (
@@ -264,6 +261,8 @@ def test_search_rejects_bad_arguments():
         brute_force_scalar(BUTTERFLY, 4)
     with pytest.raises(ValueError):
         brute_force_scalar(BUTTERFLY, 2, budget=0)
+    with pytest.raises(ValueError, match="at most 65537, got 65539"):
+        brute_force_scalar(BUTTERFLY, 65539)  # prime, one past the bound
 
 
 def test_search_report_summary_format():
