@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from .constructors import assign_1m, assign_133, route_uniform
-from .flows import connectivity_level, cutset_infeasible
+from .flows import CutWitness, connectivity_level, cutset_infeasible
 from .graph import (
     InstanceError,
     UnicastInstance,
@@ -75,6 +75,16 @@ def _fmt_vec(values: Sequence[int]) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
 
+def _print_witness(inst: UnicastInstance, witness: CutWitness) -> None:
+    sess = ",".join(str(i + 1) for i in witness.sessions)
+    nodes = ",".join(inst.names[v] for v in witness.nodes)
+    edges = ",".join(str(e) for e in witness.cut_edges)
+    print(
+        f"WITNESS: capacity {witness.capacity} rate {witness.required_rate}"
+        f" sessions {sess} nodes {nodes} edges {edges}"
+    )
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     levels = connectivity_level(inst)
@@ -86,13 +96,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"RESULT: connectivity {_fmt_vec(levels)}")
     witness = cutset_infeasible(inst)
     if witness is not None:
-        sess = ",".join(str(i + 1) for i in witness.sessions)
-        nodes = ",".join(inst.names[v] for v in witness.nodes)
-        edges = ",".join(str(e) for e in witness.cut_edges)
-        print(
-            f"WITNESS: capacity {witness.capacity} rate {witness.required_rate}"
-            f" sessions {sess} nodes {nodes} edges {edges}"
-        )
+        _print_witness(inst, witness)
         return 1
     return 0
 
@@ -140,8 +144,12 @@ def _pick_construction(inst: UnicastInstance, q: int) -> NetworkCode | int:
         s = sorted(levels)
         if s[1] >= 3 and s[2] >= 3:
             return assign_133(inst, q)
-        if all(1 <= k <= 3 for k in levels):
+        # the classification says only that some instance at these levels
+        # is infeasible; this one is called so only with a violated cut
+        witness = cutset_infeasible(inst) if all(1 <= k <= 3 for k in levels) else None
+        if witness is not None:
             print("RESULT: infeasible per classification")
+            _print_witness(inst, witness)
             return 1
     print(f"RESULT: no applicable construction for connectivity {_fmt_vec(levels)}")
     return 1

@@ -6,15 +6,36 @@ coefficient blocks.  A memo of failed (position, frontier) states collapses
 subtrees whose outcome depends only on the vectors still visible to the
 remaining edges, so exhausting the space is usually far cheaper than the
 raw q**C count while still returning the identical first hit.
+
+Cost per block.  A node whose edge combines n generators (in-edge vectors
+and injected unit symbols) walks its q**n blocks with the last coefficient
+running fastest, so a block adds one copy of the last generator to the
+vector before it: one addition per block, plus n - 1 more for each of the
+q**(n-1) blocks that end in 0.  A terminal is checked when its last in-edge
+is assigned.  The span of its other in-edges is fixed for the whole visit,
+so it is built once per visit, and each distinct candidate vector v is
+tested once: every wanted unit u must have u - c*v in that span for some c.
+Entering a node costs one memo-key lookup (an ``itemgetter`` over the live
+edges) and a set probe.
+
+Arithmetic.  Vectors over GF(q) have L = T * (total rate) coordinates.  At
+q = 2 they are bitmasks and adding is XOR.  For q >= 3, while the q**L
+vectors number at most ``TABLE_VECTORS`` they are packed base-q integers and
+every sum and multiple is read from tables built once per search.  Above
+that no table fits (q = 65537 has 65537**L vectors), and the general path
+keeps them as tuples, adds coordinate by coordinate and checks terminals by
+elimination (``gf.in_span``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
-from .gf import PrimeField
+from .gf import PrimeField, Vector, in_span
 from .graph import Session, UnicastInstance, build_instance, expand_time
 from .netcode import CodeError, LocalRule, NetworkCode, verify_code
 
@@ -33,9 +54,13 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 36
-# the scalar search materialises range(q) at every node it visits, so it
-# refuses larger field orders before allocating anything
+# each visited node walks its blocks with itertools.product, which holds
+# range(q) as a tuple of q ints, so the search refuses larger field orders
+# before allocating anything
 MAX_SEARCH_FIELD_ORDER = 65537
+# largest q**L that gets add/scale tables: two tables of q**L rows, which
+# take about 5 ms to build at 243 vectors (Python 3.11, one x86 core)
+TABLE_VECTORS = 256
 
 
 # ------------------------------------------------------------- classification
@@ -246,57 +271,168 @@ class SearchReport:
         )
 
 
-class _Budget(Exception):
-    pass
+class _Xor:
+    """GF(2) vectors as bitmasks (bit k holds coordinate k); adding is XOR."""
+
+    q = 2
+    zero = 0
+
+    @staticmethod
+    def unit(k: int) -> int:
+        return 1 << k
+
+    @staticmethod
+    def combine(block: Sequence[int], gens: Sequence[int]) -> int:
+        v = 0
+        for c, g in zip(block, gens):
+            if c:
+                v ^= g
+        return v
+
+    @staticmethod
+    def adder(g: int) -> Callable[[int], int]:
+        return g.__xor__
+
+    @staticmethod
+    def decoder(others: Sequence[int], units: Sequence[int]) -> Callable[[int], bool]:
+        # echelon basis of the others: each element, reduced in order against
+        # the ones before it, has their leading bits clear, so reducing x in
+        # the same order clears every leading bit and leaves the one member of
+        # x's coset with none set; the reduction is linear and 0 on the span
+        basis: list[int] = []
+        for w in others:
+            for b in basis:
+                w = min(w, w ^ b)
+            if w:
+                basis.append(w)
+
+        def reduce(x: int) -> int:
+            for b in basis:
+                x = min(x, x ^ b)
+            return x
+
+        residues = [reduce(u) for u in units]
+
+        def decodes(v: int) -> bool:
+            r = reduce(v)
+            return all(x == 0 or x == r for x in residues)
+
+        return decodes
 
 
-class _PackedOps:
-    """Vectors over GF(q) packed into base-q integers, digit k holding
-    coordinate k."""
+class _Tables:
+    """GF(q) vectors packed base q (digit k holds coordinate k), with every
+    sum and multiple read from tables over all q**L vectors."""
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, n_symbols: int):
         self.q = q
+        self.zero = 0
+        # add[a][b], grown one more significant digit at a time: a vector
+        # a + p*d (a below p = q**k) plus b + p*e is add[a][b] + p*((d+e) % q)
+        add: list[list[int]] = [[0]]
+        p = 1
+        for _ in range(n_symbols):
+            add = [
+                [x + p * ((d + e) % q) for e in range(q) for x in row]
+                for d in range(q)
+                for row in add
+            ]
+            p *= q
+        self.add = add
+        # mul[v][c] = c*v
+        self.mul = []
+        for v in range(len(add)):
+            multiples = [0]
+            for _ in range(q - 1):
+                multiples.append(add[multiples[-1]][v])
+            self.mul.append(multiples)
 
     def unit(self, k: int) -> int:
         return self.q**k
 
-    def scale(self, c: int, v: int) -> int:
-        if c == 0 or v == 0:
-            return 0
-        if c == 1:
-            return v
+    def combine(self, block: Sequence[int], gens: Sequence[int]) -> int:
+        add, mul = self.add, self.mul
+        v = 0
+        for c, g in zip(block, gens):
+            if c:
+                v = add[v][mul[g][c]]
+        return v
+
+    def adder(self, g: int) -> Callable[[int], int]:
+        return self.add[g].__getitem__
+
+    def decoder(self, others: Sequence[int], units: Sequence[int]) -> Callable[[int], bool]:
+        add, mul = self.add, self.mul
+        span = {0}
+        for w in others:
+            if w not in span:
+                span = {add[s][m] for s in span for m in mul[w]}
+        shifts = [add[u].__getitem__ for u in units]
+
+        def decodes(v: int) -> bool:
+            # u lies in span + <v> when u - c*v lies in span for some c
+            multiples = mul[v]
+            return all(not span.isdisjoint(map(shift, multiples)) for shift in shifts)
+
+        return decodes
+
+
+class _Tuples:
+    """GF(q) vectors as tuples, for fields whose q**L vectors no table holds."""
+
+    def __init__(self, q: int, n_symbols: int):
+        self.q = q
+        self.field = PrimeField(q)
+        self.n_symbols = n_symbols
+        self.zero = (0,) * n_symbols
+
+    def unit(self, k: int) -> Vector:
+        return self.field.unit(self.n_symbols, k)
+
+    def combine(self, block: Sequence[int], gens: Sequence[Vector]) -> Vector:
+        return self.field.vec_combine(block, gens, self.n_symbols)
+
+    def adder(self, g: Vector) -> Callable[[Vector], Vector]:
+        return partial(self.field.vec_add, g)
+
+    def decoder(
+        self, others: Sequence[Vector], units: Sequence[Vector]
+    ) -> Callable[[Vector], bool]:
         q = self.q
-        out = 0
-        base = 1
-        while v:
-            v, d = divmod(v, q)
-            out += (d * c % q) * base
-            base *= q
-        return out
 
-    def add(self, a: int, b: int) -> int:
-        q = self.q
-        if q == 2:
-            return a ^ b
-        out = 0
-        base = 1
-        while a or b:
-            a, da = divmod(a, q)
-            b, db = divmod(b, q)
-            out += (da + db) % q * base
-            base *= q
-        return out
+        def decodes(v: Vector) -> bool:
+            rows = [*others, v]
+            return all(in_span(u, rows, q) is not None for u in units)
+
+        return decodes
 
 
-def _decodable(ops: _PackedOps, vectors: Iterable[int], symbols: Iterable[int]) -> bool:
-    # span of at most a handful of packed vectors, built element by element
-    span = {0}
-    for v in vectors:
-        if v == 0 or v in span:
-            continue
-        scaled = [ops.scale(c, v) for c in range(1, ops.q)]
-        span |= {ops.add(s, w) for s in span for w in scaled}
-    return all(ops.unit(k) in span for k in symbols)
+def _arithmetic(q: int, n_symbols: int) -> _Xor | _Tables | _Tuples:
+    """Bitmasks at q=2, tables while q**L fits TABLE_VECTORS, else tuples."""
+    if q == 2:
+        return _Xor()
+    # q >= 3, so q**8 already exceeds the table size; the cap keeps a huge L
+    # from building a huge power
+    if q ** min(n_symbols, 8) <= TABLE_VECTORS:
+        return _Tables(q, n_symbols)
+    return _Tuples(q, n_symbols)
+
+
+def _linear_blocks(arith, gens: Sequence) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Every coefficient block over ``gens`` in lexicographic order, with the
+    vector it forms.  The last coefficient runs fastest, so a block whose last
+    coefficient is c > 0 adds one copy of the last generator to the vector
+    before it; only the q**(n-1) blocks ending in 0 recombine the others."""
+    if not gens:
+        yield (), arith.zero
+        return
+    lead = gens[:-1]
+    plus_last = arith.adder(gens[-1])
+    combine = arith.combine
+    v = arith.zero
+    for block in product(range(arith.q), repeat=len(gens)):
+        v = plus_last(v) if block[-1] else combine(block, lead)
+        yield block, v
 
 
 def _routing_blocks(n_in: int, n_src: int) -> list[tuple[int, ...]]:
@@ -305,6 +441,22 @@ def _routing_blocks(n_in: int, n_src: int) -> list[tuple[int, ...]]:
     for j in range(width):
         blocks.append(tuple(1 if i == j else 0 for i in range(width)))
     return sorted(blocks)
+
+
+class _Verdicts(dict):
+    """Terminal-check answers for one visit, keyed by the checked vector."""
+
+    def __init__(self, decodes: Callable[[object], bool]):
+        super().__init__()
+        self.decodes = decodes
+
+    def __missing__(self, v: object) -> bool:
+        ok = self[v] = self.decodes(v)
+        return ok
+
+
+def _no_live(vecs: list) -> tuple:
+    return ()
 
 
 def _search(
@@ -322,28 +474,29 @@ def _search(
             f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}"
         )
     expanded, _ = expand_time(instance, T)
-    ops = _PackedOps(q)
+    arith = _arithmetic(q, expanded.n_symbols)
     order = expanded.edges_in_topo_order()
     M = len(order)
     pos = [0] * M
     for i, eid in enumerate(order):
         pos[eid] = i
 
-    # sessions grouped by terminal node; a terminal is checked as soon as
-    # the last of its in-edges has been assigned
+    # sessions grouped by terminal node; a terminal is checked when its last
+    # in-edge is assigned, against the span of its other in-edges, which are
+    # fixed for the whole visit
     by_terminal: dict[int, list[int]] = {}
     for idx, s in enumerate(expanded.sessions):
         by_terminal.setdefault(s.terminal, []).append(idx)
-    checks_at: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    check_at: list[tuple[list[int], list] | None] = [None] * M
     for node, session_ids in by_terminal.items():
         in_ids = expanded.in_edges[node]
-        symbols = tuple(
-            sym for i in session_ids for sym in expanded.session_symbols(i)
-        )
         if not in_ids:
             return SearchReport(q, T, 0, True, None)
-        done = max(pos[e] for e in in_ids)
-        checks_at.setdefault(done, []).append((in_ids, symbols))
+        last = max(in_ids, key=pos.__getitem__)
+        units = [
+            arith.unit(sym) for i in session_ids for sym in expanded.session_symbols(i)
+        ]
+        check_at[pos[last]] = ([e for e in in_ids if e != last], units)
 
     # how long each assigned edge stays relevant: as long as some out-edge
     # of its head is unassigned, or its head's terminal check is pending
@@ -356,78 +509,76 @@ def _search(
         if h in by_terminal:
             rel = max(rel, max(pos[e] for e in expanded.in_edges[h]))
         last_rel[eid] = rel
-    live_at: list[tuple[int, ...]] = [
-        tuple(x for x in range(M) if pos[x] < i <= last_rel[x]) for i in range(M + 1)
-    ]
+    # memo key at position i: the vectors of the edges live there
+    key_at = []
+    for i in range(M + 1):
+        live = [x for x in range(M) if pos[x] < i <= last_rel[x]]
+        key_at.append(itemgetter(*live) if live else _no_live)
 
     in_ids_at = [expanded.in_edges[expanded.tail(order[i])] for i in range(M)]
     src_ids_at = [expanded.observed_symbols(expanded.tail(order[i])) for i in range(M)]
+    units_at = [[arith.unit(k) for k in src_ids_at[i]] for i in range(M)]
     block_lists = None
     if routing:
         block_lists = [
             _routing_blocks(len(in_ids_at[i]), len(src_ids_at[i])) for i in range(M)
         ]
 
-    vecs = [0] * M
+    zero = arith.zero
+    vecs = [zero] * M
     chosen: list[tuple[int, ...]] = [()] * M
-    memo: set[tuple[int, tuple[int, ...]]] = set()
+    memos: list[set] = [set() for _ in range(M + 1)]
+    keys: list[object] = [None] * M
+    # per depth of the walk: the (block, vector) iterator and the terminal
+    # check answers of the visit in progress there
+    walks: list[Iterator | None] = [None] * M
+    verdicts: list[_Verdicts | None] = [None] * M
     counter = 0
-
-    def dfs(i: int) -> bool:
-        nonlocal counter
-        if i == M:
-            return True
-        key = (i, tuple(vecs[x] for x in live_at[i]))
-        if key in memo:
-            return False
-        in_ids = in_ids_at[i]
-        src_ids = src_ids_at[i]
-        n_in = len(in_ids)
+    i = -1
+    key = key_at[0](vecs)
+    found = M == 0
+    while not found:
+        if key is not None:
+            # enter the node at depth i + 1, whose memo key is not yet failed
+            i += 1
+            keys[i] = key
+            gens = [vecs[e] for e in in_ids_at[i]] + units_at[i]
+            if routing:
+                walks[i] = zip(block_lists[i], [zero, *reversed(gens)])
+            else:
+                walks[i] = _linear_blocks(arith, gens)
+            check = check_at[i]
+            verdicts[i] = (
+                None if check is None
+                else _Verdicts(arith.decoder([vecs[e] for e in check[0]], check[1]))
+            )
         x = order[i]
-        blocks: Iterable[tuple[int, ...]]
-        if routing:
-            blocks = block_lists[i]
-        else:
-            blocks = product(range(q), repeat=n_in + len(src_ids))
-        for block in blocks:
+        verdict = verdicts[i]
+        memo_next = memos[i + 1]
+        key_next = key_at[i + 1]
+        key = None
+        for block, v in walks[i]:
             counter += 1
             if counter > budget:
-                raise _Budget
-            v = 0
-            for j in range(n_in):
-                c = block[j]
-                if c:
-                    v = ops.add(v, ops.scale(c, vecs[in_ids[j]]))
-            for kk in range(len(src_ids)):
-                c = block[n_in + kk]
-                if c:
-                    v = ops.add(v, ops.scale(c, ops.unit(src_ids[kk])))
+                return SearchReport(q, T, counter, False, None)
+            if verdict is not None and not verdict[v]:
+                continue
             vecs[x] = v
-            ok = True
-            for edge_set, symbols in checks_at.get(i, ()):
-                if not _decodable(ops, (vecs[e] for e in edge_set), symbols):
-                    ok = False
-                    break
-            if ok:
-                chosen[i] = block
-                if dfs(i + 1):
-                    return True
-        vecs[x] = 0
-        memo.add(key)
-        return False
-
-    try:
-        found = dfs(0)
-    except _Budget:
-        return SearchReport(q, T, counter, False, None)
-    finally:
-        # dfs reaches itself through its closure; break that cycle so dfs
-        # and the memo are freed now, not at the next cyclic collection
-        memo.clear()
-        dfs = None  # type: ignore[assignment]
-
-    if not found:
-        return SearchReport(q, T, counter, True, None)
+            chosen[i] = block
+            if i + 1 == M:
+                found = True
+                break
+            key = key_next(vecs)
+            if key not in memo_next:
+                break
+            key = None
+        else:
+            # every block failed: this state fails wherever it recurs
+            memos[i].add(keys[i])
+            walks[i] = verdicts[i] = None
+            if i == 0:
+                return SearchReport(q, T, counter, True, None)
+            i -= 1
 
     rules = [None] * M
     for i in range(M):

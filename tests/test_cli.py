@@ -316,8 +316,31 @@ def test_code_triple_splits_lowest_session(tmp_path):
 def test_code_infeasible_triple_refused(fig2a, tmp_path):
     rc, out, _ = run_cli("code", fig2a, "-o", str(tmp_path / "no.code"))
     assert rc == 1
-    assert out == "RESULT: infeasible per classification\n"
+    assert out == (
+        "RESULT: infeasible per classification\n"
+        "WITNESS: capacity 2 rate 3 sessions 1,2,3 nodes s1,v1,s2,s3,v2 edges 6,7\n"
+    )
     assert not (tmp_path / "no.code").exists()
+
+
+def test_code_does_not_call_a_cut_free_triple_infeasible(tmp_path):
+    # three disjoint sessions of capacity 2: level [2,2,2], below [1,3,3],
+    # yet each session has its own edges, so search finds a code
+    src = str(tmp_path / "disjoint.txt")
+    with open(src, "w", encoding="utf-8") as fh:
+        fh.write(
+            "session 1 s1 t1\nsession 2 s2 t2\nsession 3 s3 t3\n"
+            "edge s1 t1 cap=2\nedge s2 t2 cap=2\nedge s3 t3 cap=2\n"
+        )
+    rc, out, _ = run_cli("code", src, "-o", str(tmp_path / "no.code"))
+    assert rc == 1
+    assert out == "RESULT: no applicable construction for connectivity [2,2,2]\n"
+    assert not (tmp_path / "no.code").exists()
+    code_path = str(tmp_path / "found.code")
+    rc, out, _ = run_cli("search", src, "--q", "2", "-o", code_path)
+    assert rc == 0
+    assert out.endswith(f"enumerated=9 exhausted=false code={code_path}\n")
+    assert run_cli("verify", src, code_path)[0] == 0
 
 
 def test_code_no_construction_message(fig3, tmp_path):

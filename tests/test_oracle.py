@@ -1,11 +1,11 @@
 """Triple classification, canonical generators, exhaustive search engine."""
 
 import gc
-import inspect
 from itertools import permutations, product
 
 import pytest
 from cut_oracle import cutset_infeasible_exhaustive
+from search_oracle import _search as reference_search
 
 from netcode_unicast.flows import connectivity_level, cutset_infeasible
 from netcode_unicast.gf import PrimeField
@@ -17,6 +17,7 @@ from netcode_unicast.netcode import (
     propagate,
     verify_code,
 )
+from netcode_unicast import oracle
 from netcode_unicast.oracle import (
     SearchReport,
     Verdict,
@@ -29,6 +30,7 @@ from netcode_unicast.oracle import (
     gen_23_rate21,
     gen_fig1,
 )
+from netcode_unicast.sampling import sample_1m
 
 BUTTERFLY = build_instance(
     [
@@ -298,17 +300,121 @@ def test_search_consistent_with_constructors():
 
 
 def test_search_state_is_freed_without_the_cycle_collector():
-    gc.collect()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        report = brute_force_scalar(gen_232(), 2)
+    searches = [
+        (lambda: brute_force_scalar(gen_232(), 2), True),
+        (lambda: brute_force_scalar(gen_fig1(), 3), False),
+        (lambda: brute_force_routing(gen_fig1(), 2), False),
+    ]
+    for search, proves in searches:
         gc.collect()
-        leftover = list(gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.enable()
-    assert report.exhausted and report.code is None
-    assert not [o for o in leftover if inspect.isfunction(o) and o.__name__ == "dfs"]
-    assert not [o for o in leftover if isinstance(o, set)]
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report = search()
+            gc.collect()
+            leftover = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert report.exhausted is proves and (report.code is None) is proves
+        # any reference cycle the search leaves behind is saved here
+        assert leftover == []
+
+
+# ------------------------------------------------ against the reference search
+
+def _same_as_reference(instance, q, T=1, budget=oracle.DEFAULT_BUDGET, routing=False):
+    got = oracle._search(instance, q, T, budget, routing)
+    want = reference_search(instance, q, T, budget, routing)
+    assert (got.enumerated, got.exhausted, got.code) == (
+        want.enumerated,
+        want.exhausted,
+        want.code,
+    )
+    return got
+
+
+# the search-prove and search-find benchmark searches
+BENCHMARK_SEARCHES = (
+    [pytest.param(gen, q, 1, False, id=f"{gen.__name__}-q{q}") for gen in (gen_222, gen_113) for q in (2, 3)]
+    + [
+        pytest.param(gen_23_rate21, 2, 1, False, id="gen_23_rate21-q2"),
+        pytest.param(gen_232, 2, 1, False, id="gen_232-q2"),
+        pytest.param(gen_fig1, 2, 1, True, id="gen_fig1-routing"),
+    ]
+    + [pytest.param(gen_fig1, q, 1, False, id=f"gen_fig1-q{q}") for q in (2, 3, 5)]
+    + [pytest.param(lambda: sample_1m(1, 1), 2, 2, True, id="sample_1m-m1-1-routing-T2")]
+    + [
+        pytest.param(lambda j=j, m=m: sample_1m(j, m), q, 1, False, id=f"sample_1m-m{m}-{j}-q{q}")
+        for m, seeds in ((1, range(12)), (2, range(4)))
+        for j in seeds
+        for q in (2, 3)
+    ]
+)
+
+
+@pytest.mark.parametrize("gen, q, T, routing", BENCHMARK_SEARCHES)
+def test_benchmark_searches_match_the_reference(gen, q, T, routing):
+    _same_as_reference(gen(), q, T, routing=routing)
+
+
+@pytest.mark.parametrize("j", (20, 24, 27))
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("q", (2, 3, 5))
+@pytest.mark.parametrize("T", (1, 2))
+def test_sampled_searches_match_the_reference(j, m, q, T):
+    # the budget cuts the slowest of these off; the cut must fall identically
+    _same_as_reference(sample_1m(j, m), q, T, budget=12_000)
+
+
+@pytest.mark.parametrize("budget", (1, 2, 3, 10))
+@pytest.mark.parametrize(
+    "instance, q, routing",
+    [(BUTTERFLY, 2, False), (gen_222(), 3, False), (gen_fig1(), 2, True), (gen_fig1(), 65537, False)],
+    ids=["butterfly-q2", "fig2a-q3", "fig1-routing", "fig1-q65537"],
+)
+def test_small_budgets_match_the_reference(instance, q, routing, budget):
+    report = _same_as_reference(instance, q, budget=budget, routing=routing)
+    assert report.enumerated <= budget + 1
+
+
+@pytest.mark.parametrize(
+    "m, q, T, kind",
+    [
+        (1, 7, 1, oracle._Tables),  # 7**2 = 49 vectors
+        (2, 7, 1, oracle._Tuples),  # 7**3 = 343
+        (1, 13, 1, oracle._Tables),  # 13**2 = 169
+        (1, 17, 1, oracle._Tuples),  # 17**2 = 289
+        (1, 3, 2, oracle._Tables),  # 3**4 = 81
+        (2, 3, 2, oracle._Tuples),  # 3**6 = 729
+    ],
+)
+def test_table_and_tuple_arithmetic_match_the_reference(m, q, T, kind):
+    instance = sample_1m(20, m)
+    assert type(oracle._arithmetic(q, instance.n_symbols * T)) is kind
+    _same_as_reference(instance, q, T, budget=12_000)
+
+
+def test_arithmetic_is_chosen_from_the_vector_count():
+    assert type(oracle._arithmetic(2, 40)) is oracle._Xor
+    assert type(oracle._arithmetic(3, 5)) is oracle._Tables  # 243 vectors
+    assert type(oracle._arithmetic(3, 6)) is oracle._Tuples  # 729
+    assert type(oracle._arithmetic(257, 1)) is oracle._Tuples
+    assert type(oracle._arithmetic(65537, 10**6)) is oracle._Tuples
+
+
+@pytest.mark.parametrize("q, n_symbols", [(3, 1), (3, 2), (5, 2), (3, 5)])
+def test_tables_hold_field_sums_and_multiples(q, n_symbols):
+    tables = oracle._Tables(q, n_symbols)
+    field = PrimeField(q)
+
+    def digits(v):
+        return tuple(v // q**k % q for k in range(n_symbols))
+
+    size = q**n_symbols
+    for a in range(size):
+        for b in range(size):
+            assert digits(tables.add[a][b]) == field.vec_add(digits(a), digits(b))
+        for c in range(q):
+            assert digits(tables.mul[a][c]) == field.vec_scale(c, digits(a))
