@@ -148,7 +148,7 @@ def _pick_construction(inst: UnicastInstance, q: int) -> NetworkCode | int:
         # is infeasible; this one is called so only with a violated cut
         witness = cutset_infeasible(inst) if all(1 <= k <= 3 for k in levels) else None
         if witness is not None:
-            print("RESULT: infeasible per classification")
+            print("RESULT: infeasible (violated cut)")
             _print_witness(inst, witness)
             return 1
     print(f"RESULT: no applicable construction for connectivity {_fmt_vec(levels)}")

@@ -58,8 +58,13 @@ DEFAULT_BUDGET = 1 << 36
 # range(q) as a tuple of q ints, so the search refuses larger field orders
 # before allocating anything
 MAX_SEARCH_FIELD_ORDER = 65537
-# largest q**L that gets add/scale tables: two tables of q**L rows, which
-# take about 5 ms to build at 243 vectors (Python 3.11, one x86 core)
+# largest q**L that gets add/scale tables.  Timed on whole sample_1m searches
+# (Python 3.11, one Xeon core, build counted), tables beat tuples 3.0-4.6x in
+# total at 81, 125, 243 and 343 vectors and lose only where the build
+# outweighs the search (32 blocks at 81 vectors, 1,899 at 343).  Up to 256
+# every entry is a cached small int: 243 vectors build in 2.4 ms and hold
+# 0.54 MiB; above it each entry is its own int (1.9 MiB at 343 vectors, 15 MiB
+# and 26 ms at 729, where tables and tuples tie over 20,000 blocks)
 TABLE_VECTORS = 256
 
 
@@ -435,12 +440,18 @@ def _linear_blocks(arith, gens: Sequence) -> Iterator[tuple[tuple[int, ...], obj
         yield block, v
 
 
-def _routing_blocks(n_in: int, n_src: int) -> list[tuple[int, ...]]:
-    width = n_in + n_src
-    blocks = [(0,) * width]
-    for j in range(width):
-        blocks.append(tuple(1 if i == j else 0 for i in range(width)))
-    return sorted(blocks)
+def _routing_blocks(n: int) -> tuple[list[tuple[int, ...]], Callable[[list], Sequence]]:
+    """The routing blocks over n generators in lexicographic order, and a
+    getter that takes ``[zero, *gens]`` to the vectors those blocks form, in
+    the same order: all zero first, then a single 1 moving from the last
+    position to the first."""
+    blocks = [(0,) * n]
+    picks = [0]
+    for j in reversed(range(n)):
+        blocks.append((0,) * j + (1,) + (0,) * (n - 1 - j))
+        picks.append(j + 1)
+    # with a single pick itemgetter would return the bare vector
+    return blocks, itemgetter(*picks) if n else list
 
 
 class _Verdicts(dict):
@@ -518,14 +529,12 @@ def _search(
     in_ids_at = [expanded.in_edges[expanded.tail(order[i])] for i in range(M)]
     src_ids_at = [expanded.observed_symbols(expanded.tail(order[i])) for i in range(M)]
     units_at = [[arith.unit(k) for k in src_ids_at[i]] for i in range(M)]
-    block_lists = None
-    if routing:
-        block_lists = [
-            _routing_blocks(len(in_ids_at[i]), len(src_ids_at[i])) for i in range(M)
-        ]
+    routes = [
+        _routing_blocks(len(in_ids_at[i]) + len(units_at[i])) if routing else None
+        for i in range(M)
+    ]
 
-    zero = arith.zero
-    vecs = [zero] * M
+    vecs = [arith.zero] * M
     chosen: list[tuple[int, ...]] = [()] * M
     memos: list[set] = [set() for _ in range(M + 1)]
     keys: list[object] = [None] * M
@@ -544,7 +553,8 @@ def _search(
             keys[i] = key
             gens = [vecs[e] for e in in_ids_at[i]] + units_at[i]
             if routing:
-                walks[i] = zip(block_lists[i], [zero, *reversed(gens)])
+                blocks, pick = routes[i]
+                walks[i] = zip(blocks, pick([arith.zero, *gens]))
             else:
                 walks[i] = _linear_blocks(arith, gens)
             check = check_at[i]

@@ -317,7 +317,7 @@ def test_code_infeasible_triple_refused(fig2a, tmp_path):
     rc, out, _ = run_cli("code", fig2a, "-o", str(tmp_path / "no.code"))
     assert rc == 1
     assert out == (
-        "RESULT: infeasible per classification\n"
+        "RESULT: infeasible (violated cut)\n"
         "WITNESS: capacity 2 rate 3 sessions 1,2,3 nodes s1,v1,s2,s3,v2 edges 6,7\n"
     )
     assert not (tmp_path / "no.code").exists()

@@ -379,6 +379,26 @@ def test_small_budgets_match_the_reference(instance, q, routing, budget):
     assert report.enumerated <= budget + 1
 
 
+@pytest.mark.parametrize("T", (1, 2))
+def test_routing_over_a_node_with_nothing_to_forward_matches_the_reference(T):
+    # x has no in-edge and observes no symbol, so its edges have no generator
+    inst = build_instance(
+        [("s1", "t1"), ("x", "t1"), ("x", "y"), ("y", "t1"), ("s1", "y")],
+        [("s1", "t1")],
+    )
+    _same_as_reference(inst, 2, T, routing=True)
+
+
+@pytest.mark.parametrize("n", (0, 1, 3))
+def test_routing_blocks_pair_each_block_with_its_vector(n):
+    blocks, pick = oracle._routing_blocks(n)
+    assert blocks == sorted(blocks)
+    gens = [f"g{j}" for j in range(n)]
+    for block, v in zip(blocks, pick(["zero", *gens]), strict=True):
+        chosen = [g for c, g in zip(block, gens) if c]
+        assert v == (chosen[0] if chosen else "zero") and len(chosen) <= 1
+
+
 @pytest.mark.parametrize(
     "m, q, T, kind",
     [
