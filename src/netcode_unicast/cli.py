@@ -135,22 +135,25 @@ def _pick_construction(inst: UnicastInstance, q: int) -> NetworkCode | int:
     levels = connectivity_level(inst)
     rates = tuple(s.rate for s in inst.sessions)
     n = len(levels)
-    uniform = len(set(levels)) == 1
-    if uniform and all(r == 1 for r in rates) and n <= levels[0]:
-        return route_uniform(inst, q)
-    if n == 2 and rates[0] == 1 and levels == (1, rates[1] + 1):
-        return assign_1m(inst, q)
-    if n == 3 and all(r == 1 for r in rates):
-        s = sorted(levels)
-        if s[1] >= 3 and s[2] >= 3:
-            return assign_133(inst, q)
-        # the classification says only that some instance at these levels
-        # is infeasible; this one is called so only with a violated cut
-        witness = cutset_infeasible(inst) if all(1 <= k <= 3 for k in levels) else None
+    unit = all(r == 1 for r in rates)
+    ranked = sorted(levels)
+    # a max-flow below its rate is a violated cut; three unit sessions below
+    # [1,3,3] at levels within 3 are called infeasible only with a violated
+    # cut, as the classification speaks only of some instance at those levels
+    if any(k < r for k, r in zip(levels, rates)) or (
+        n == 3 and unit and ranked[1] < 3 and ranked[2] <= 3
+    ):
+        witness = cutset_infeasible(inst)
         if witness is not None:
             print("RESULT: infeasible (violated cut)")
             _print_witness(inst, witness)
             return 1
+    if len(set(levels)) == 1 and unit and n <= levels[0]:
+        return route_uniform(inst, q)
+    if n == 2 and rates[0] == 1 and levels == (1, rates[1] + 1):
+        return assign_1m(inst, q)
+    if n == 3 and unit and ranked[1] >= 3:
+        return assign_133(inst, q)
     print(f"RESULT: no applicable construction for connectivity {_fmt_vec(levels)}")
     return 1
 

@@ -6,8 +6,9 @@ session owns one time layer and routes all n of its symbols there), a
 scalar code for two sessions with rates {1, m} and connectivity [1, m+1]
 built by peeling spare paths and cascading partial sums along shared path
 segments, and a T=2 construction for three unit-rate sessions with sorted
-connectivity at least [1, 3, 3] that runs the scalar construction once per
-time layer on a capped subgraph and lifts the result back.
+connectivity at least [1, 3, 3] that plans the scalar construction once per
+time layer on a capped subgraph and maps each planned vector back to the
+original edges through the stage edge maps.
 """
 
 from __future__ import annotations
@@ -15,21 +16,8 @@ from __future__ import annotations
 from .flows import connectivity_level, edge_disjoint_paths
 from .gf import PrimeField, Vector
 from .graph import Session, UnicastInstance, attach_endpoints, expand_time
-from .netcode import (
-    CodeError,
-    NetworkCode,
-    code_from_plan,
-    is_routing,
-    propagate,
-    verify_code,
-)
-from .transform import (
-    internal_degree_ok,
-    lift_code,
-    minimize,
-    overlap_segments,
-    structure,
-)
+from .netcode import CodeError, NetworkCode, code_from_plan, is_routing, verify_code
+from .transform import internal_degree_ok, minimize, overlap_segments, structure
 
 __all__ = ["route_uniform", "assign_1m", "assign_133"]
 
@@ -82,6 +70,15 @@ def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     sum of all fed symbols so the final shared segment cancels back to the
     rate-1 symbol alone.  Both terminals then decode by differences.
     """
+    code = code_from_plan(instance, q, 1, _plan_1m(instance, q))
+    if not verify_code(instance, code).all_pass:
+        raise CodeError("internal error: constructed code does not verify")
+    return code
+
+
+def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
+    """The global vector :func:`assign_1m` puts on each edge (others carry
+    zero), after checking the same preconditions."""
     if len(instance.sessions) != 2:
         raise CodeError("exactly two sessions required")
     if instance.sessions[0].rate != 1:
@@ -157,11 +154,7 @@ def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     else:
         for eid in p1.edge_ids:
             put(eid, x1)
-
-    code = code_from_plan(instance, q, 1, plan)
-    if not verify_code(instance, code).all_pass:
-        raise CodeError("internal error: constructed code does not verify")
-    return code
+    return plan
 
 
 def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
@@ -169,10 +162,12 @@ def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
 
     The session with the smallest max-flow splits its two expanded symbols
     across the time layers; each layer pairs it with one of the other two
-    sessions and runs :func:`assign_1m` with m=2 on a capped, minimized,
-    structured subgraph.  The per-layer scalar codes are lifted back stage
-    by stage and embedded at their layer's edge copies; everything else
-    carries zero.
+    sessions and plans the :func:`assign_1m` vectors with m=2 on a capped,
+    minimized, structured subgraph.  Each planned vector follows the stage
+    edge maps back to its original edge (the argument of
+    :func:`~netcode_unicast.transform.lift_code`: an original edge carries
+    its structured twin's vector) and is embedded at its layer's edge copy;
+    everything else carries zero.  The code is realized and verified once.
     """
     if len(instance.sessions) != 3:
         raise CodeError("exactly three sessions required")
@@ -210,23 +205,13 @@ def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
         shrunk = minimize(layer)
         shaped = structure(shrunk.instance)
         trimmed = minimize(shaped.instance)
-        scalar = assign_1m(trimmed.instance, q)
-        # undo the post-gadget trim (removed edges carry zero), the gadgets,
-        # and the first trim, tracking edge ids through each stage
-        grown = code_from_plan(
-            shaped.instance,
-            q,
-            1,
-            {
-                trimmed.edge_map[eid]: vec
-                for eid, vec in enumerate(propagate(trimmed.instance, scalar))
-            },
-        )
-        lifted = lift_code(shaped, shrunk.instance, grown)
-        for eid, vec in enumerate(propagate(shrunk.instance, lifted)):
-            if not any(vec):
-                continue
-            capped_eid = sub_to_capped[shrunk.edge_map[eid]]
+        # compose trimmed -> shaped -> shrunk -> sub -> capped; edges removed
+        # by either trim carry zero
+        for eid, vec in _plan_1m(trimmed.instance, q).items():
+            shaped_eid = trimmed.edge_map[eid]
+            if shaped_eid >= shrunk.instance.n_edges:
+                continue  # crossbar edge; original edges keep their ids
+            capped_eid = sub_to_capped[shrunk.edge_map[shaped_eid]]
             if capped_eid >= instance.n_edges:
                 continue  # attachment edge, exists only under the cap
             out = [0] * L

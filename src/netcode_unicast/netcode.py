@@ -200,9 +200,12 @@ def code_from_plan(
 
     ``plan`` maps expanded edge ids to the vectors they must carry (missing
     edges carry zero).  Each edge's rule is solved from its tail's in-edge
-    vectors and observed unit injections; unrealizable targets raise.
+    vectors and observed unit injections; unrealizable targets, and targets
+    on edges the expanded instance lacks, raise.
     """
     expanded, _ = expand_time(instance, T)
+    if any(not 0 <= eid < expanded.n_edges for eid in plan):
+        raise CodeError("plan vector on an edge outside the expanded instance")
     F = PrimeField(q)
     L = expanded.n_symbols
     vectors: list[Vector] = [F.zeros(L)] * expanded.n_edges

@@ -214,6 +214,12 @@ def lift_code(
     of its structured twin.  Every crossbar output is a combination of the
     crossbar's inputs, which are exactly the original node's in-edges, so
     the copied vectors are realizable locally.
+
+    No constructor calls this: :func:`~netcode_unicast.constructors.assign_133`
+    relies on the same argument but maps its plan through the edge ids.  Its
+    callers hold a code built on a structured instance, such as
+    ``demos/construct_and_lift.py``, the acceptance tests and the reference
+    [1,3,3] construction in ``tests/construct_oracle.py``.
     """
     result = verify_code(structured.instance, code)
     if not result.all_pass:

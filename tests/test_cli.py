@@ -343,6 +343,28 @@ def test_code_does_not_call_a_cut_free_triple_infeasible(tmp_path):
     assert run_cli("verify", src, code_path)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "levels, width", [("[0,3,3]", 3), ("[0,1,1]", 1)]
+)
+def test_code_names_the_cut_of_a_session_below_its_rate(tmp_path, levels, width):
+    # s1 reaches only a dead end, so session 1 has max-flow 0 below rate 1
+    src = str(tmp_path / "cut.txt")
+    with open(src, "w", encoding="utf-8") as fh:
+        fh.write(
+            "session 1 s1 t1\nsession 2 s2 t2\nsession 3 s3 t3\n"
+            f"edge s1 a\nedge b t1\nedge s2 t2 cap={width}\nedge s3 t3 cap={width}\n"
+        )
+    rc, analyzed, _ = run_cli("analyze", src)
+    assert rc == 1
+    assert f"RESULT: connectivity {levels}\n" in analyzed
+    witness = analyzed.splitlines(keepends=True)[-1]
+    assert witness == "WITNESS: capacity 0 rate 1 sessions 1 nodes s1,a edges \n"
+    rc, out, _ = run_cli("code", src, "-o", str(tmp_path / "no.code"))
+    assert rc == 1
+    assert out == "RESULT: infeasible (violated cut)\n" + witness
+    assert not (tmp_path / "no.code").exists()
+
+
 def test_code_no_construction_message(fig3, tmp_path):
     # two sessions with rates (2,1): outside every construction's scope
     rc, out, _ = run_cli("code", fig3, "-o", str(tmp_path / "no.code"))

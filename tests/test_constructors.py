@@ -1,13 +1,23 @@
 """Constructive assignments: uniform routing, [1,m+1] chains, [1,3,3] layering."""
 
+from itertools import permutations
+
+import construct_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netcode_unicast import constructors, netcode, transform
 from netcode_unicast.constructors import assign_1m, assign_133, route_uniform
 from netcode_unicast.flows import connectivity_level, edge_disjoint_paths
 from netcode_unicast.graph import Session, build_instance
-from netcode_unicast.netcode import CodeError, is_routing, propagate, verify_code
+from netcode_unicast.netcode import (
+    CodeError,
+    is_routing,
+    propagate,
+    serialize_code,
+    verify_code,
+)
 from netcode_unicast.sampling import sample_1m, sample_triple, sample_uniform
 from netcode_unicast.transform import (
     internal_degree_ok,
@@ -441,6 +451,74 @@ def test_assign_133_random(seed: int, triple):
     code = assign_133(inst)
     assert verify_code(inst, code).all_pass
     assert _layer_parity_ok(code)
+
+
+# sorted triple -> edge count of the `construct` benchmark's sampled slots
+BENCH_TRIPLE_EDGES = {
+    (1, 3, 3): 50,
+    (2, 3, 3): 67,
+    (1, 3, 4): 62,
+    (2, 3, 4): 82,
+    (1, 4, 4): 76,
+    (3, 3, 4): 101,
+}
+
+
+def _bench_instances():
+    """The 18 sampled instances of the `construct` benchmark: each triple
+    three times, in rotating session order, within two edges of its count."""
+    for k in range(3):
+        for t, (triple, target) in enumerate(BENCH_TRIPLE_EDGES.items()):
+            slot = k * len(BENCH_TRIPLE_EDGES) + t
+            orders = sorted(set(permutations(triple)))
+            j = 1000 * slot
+            while abs((inst := sample_triple(j, orders[slot % len(orders)])).n_edges - target) > 2:
+                j += 1
+            yield inst
+
+
+SAMPLED_ORDERS = sorted({o for t in BENCH_TRIPLE_EDGES for o in permutations(t)})
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_assign_133_matches_the_stage_by_stage_reference_on_the_benchmark(q):
+    for inst in _bench_instances():
+        assert serialize_code(assign_133(inst, q)) == serialize_code(
+            construct_oracle.assign_133(inst, q)
+        )
+
+
+@pytest.mark.parametrize("order", SAMPLED_ORDERS)
+def test_assign_133_matches_the_stage_by_stage_reference_on_samples(order):
+    for seed, q in ((0, 2), (1, 3), (2, 2), (3, 3)):
+        inst = sample_triple(seed, order)
+        assert serialize_code(assign_133(inst, q)) == serialize_code(
+            construct_oracle.assign_133(inst, q)
+        )
+
+
+def test_assign_133_realizes_and_verifies_once(monkeypatch):
+    inst = sample_triple(3, (1, 3, 3))
+    calls = {"code_from_plan": 0, "verify_code": 0, "expand_time": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    # transform's bindings count the calls a stage-by-stage lift would make
+    for module, name in (
+        (constructors, "code_from_plan"),
+        (transform, "code_from_plan"),
+        (constructors, "verify_code"),
+        (transform, "verify_code"),
+        (netcode, "expand_time"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code = assign_133(inst)
+    assert calls == {"code_from_plan": 1, "verify_code": 1, "expand_time": 2}
+    assert verify_code(inst, code).all_pass
 
 
 # ------------------------------------------------------------------ samplers

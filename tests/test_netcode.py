@@ -149,6 +149,16 @@ def test_code_from_plan_rejects_unrealizable():
         code_from_plan(BUTTERFLY, 2, 1, plan)
 
 
+@pytest.mark.parametrize("eid", [7, -1])
+def test_code_from_plan_rejects_a_vector_on_a_missing_edge(eid):
+    # BUTTERFLY has edges 0..6; a vector meant for an edge it lacks is a
+    # mapping error upstream, not a zero to drop
+    with pytest.raises(CodeError, match="outside the expanded instance"):
+        code_from_plan(BUTTERFLY, 2, 1, {0: (1, 0), eid: (1, 0)})
+    with pytest.raises(CodeError, match="outside the expanded instance"):
+        code_from_plan(BUTTERFLY, 2, 2, {14 if eid == 7 else eid: (1, 0, 0, 0)})
+
+
 def test_is_routing():
     assert is_routing([(0, 0), (1, 0), (0, 1)])
     assert not is_routing([(1, 1)])
