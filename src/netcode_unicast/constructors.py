@@ -39,7 +39,7 @@ def route_uniform(instance: UnicastInstance, q: int = 2) -> NetworkCode:
         raise CodeError(
             f"{len(levels)} sessions cannot each own one of {n} time layers"
         )
-    expanded, _ = expand_time(instance, n)
+    expanded = expand_time(instance, n)
     F = PrimeField(q)
     L = expanded.n_symbols
     plan: dict[int, Vector] = {}
@@ -69,16 +69,10 @@ def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     symbol into a running sum carried by P1, and the last one injects the
     sum of all fed symbols so the final shared segment cancels back to the
     rate-1 symbol alone.  Both terminals then decode by differences.
+
+    Requires two sessions, rate 1 first, connectivity [1, m+1], internal
+    degree at most 3 and no removable edge.
     """
-    code = code_from_plan(instance, q, 1, _plan_1m(instance, q))
-    if not verify_code(instance, code).all_pass:
-        raise CodeError("internal error: constructed code does not verify")
-    return code
-
-
-def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
-    """The global vector :func:`assign_1m` puts on each edge (others carry
-    zero), after checking the same preconditions."""
     if len(instance.sessions) != 2:
         raise CodeError("exactly two sessions required")
     if instance.sessions[0].rate != 1:
@@ -91,7 +85,17 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
         raise CodeError("structured instance required (internal degree above 3)")
     if minimize(instance).removed:
         raise CodeError("minimal instance required (some edge is removable)")
+    code = code_from_plan(instance, q, 1, _plan_1m(instance, q))
+    if not verify_code(instance, code).all_pass:
+        raise CodeError("internal error: constructed code does not verify")
+    return code
 
+
+def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
+    """The global vector :func:`assign_1m` puts on each edge (others carry
+    zero).  The instance must meet :func:`assign_1m`'s preconditions; its
+    callers establish them."""
+    m = instance.sessions[1].rate
     F = PrimeField(q)
     L = instance.n_symbols
     off2 = instance.symbol_offsets()[1]
@@ -205,8 +209,11 @@ def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
         shrunk = minimize(layer)
         shaped = structure(shrunk.instance)
         trimmed = minimize(shaped.instance)
-        # compose trimmed -> shaped -> shrunk -> sub -> capped; edges removed
-        # by either trim carry zero
+        # trimmed meets assign_1m's preconditions by construction: the cap
+        # fixes the levels at (1, 3) and every stage keeps them, structuring
+        # bounds internal degree by 3 and trimming only lowers it, and the
+        # trim leaves no edge removable.  Compose trimmed -> shaped ->
+        # shrunk -> sub -> capped; edges removed by either trim carry zero
         for eid, vec in _plan_1m(trimmed.instance, q).items():
             shaped_eid = trimmed.edge_map[eid]
             if shaped_eid >= shrunk.instance.n_edges:

@@ -58,11 +58,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("inversion of zero in GF(%d)" % self.q)
-        return pow(a, -1, self.q)
-
     def zeros(self, n: int) -> Vector:
         return (0,) * n
 
@@ -126,15 +121,6 @@ def _eliminate(mat: list[list[int]], n_cols: int, q: int) -> list[int]:
         if len(pivots) == n_rows:
             break
     return pivots
-
-
-def rank(rows: Sequence[Vector], q: int) -> int:
-    """Rank of the row space of ``rows`` over GF(q)."""
-    if not rows:
-        return 0
-    _checked_prime(q)
-    mat = [[x % q for x in r] for r in rows]
-    return len(_eliminate(mat, len(mat[0]), q))
 
 
 def in_span(target: Vector, rows: Sequence[Vector], q: int) -> Vector | None:

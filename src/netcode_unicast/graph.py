@@ -403,23 +403,14 @@ def attach_endpoints(
     return UnicastInstance(tuple(names), tuple(edges), tuple(sessions))
 
 
-def expand_time(
-    instance: UnicastInstance, T: int
-) -> tuple[UnicastInstance, dict[int, tuple[int, int]]]:
+def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
     """Time-expand the instance for vector coding over T slots.
 
     Every edge becomes T parallel copies (copy tau of edge e gets id
     ``e * T + tau``); session rates multiply by T; nodes are unchanged.
-    Returns the expanded instance and the lineage map
-    ``new edge id -> (original edge id, tau)``.
     """
     if T < 1:
         raise InstanceError(f"T must be >= 1, got {T}")
-    edges: list[tuple[int, int]] = []
-    lineage: dict[int, tuple[int, int]] = {}
-    for eid, (u, v) in enumerate(instance.edges):
-        for tau in range(T):
-            lineage[len(edges)] = (eid, tau)
-            edges.append((u, v))
+    edges = tuple(edge for edge in instance.edges for _ in range(T))
     sessions = tuple(Session(s.source, s.terminal, s.rate * T) for s in instance.sessions)
-    return UnicastInstance(instance.names, tuple(edges), sessions), lineage
+    return UnicastInstance(instance.names, edges, sessions)

@@ -54,7 +54,7 @@ class NetworkCode:
                 f"code covers {len(self.rules)} edges, expanded instance has "
                 f"{instance.n_edges * self.T}"
             )
-        expanded, _ = expand_time(instance, self.T)
+        expanded = expand_time(instance, self.T)
         PrimeField(self.q)
         for eid, rule in enumerate(self.rules):
             tail = expanded.tail(eid)
@@ -79,11 +79,6 @@ class NetworkCode:
                             f"edge {eid}: coefficient {coeff} outside GF({self.q})"
                         )
         return expanded
-
-
-def zero_code(q: int, T: int, instance: UnicastInstance) -> NetworkCode:
-    expanded, _ = expand_time(instance, T)
-    return NetworkCode(q, T, (EMPTY_RULE,) * expanded.n_edges)
 
 
 def propagate(instance: UnicastInstance, code: NetworkCode) -> tuple[Vector, ...]:
@@ -198,26 +193,29 @@ def code_from_plan(
 ) -> NetworkCode:
     """Realize target global vectors as local rules.
 
-    ``plan`` maps expanded edge ids to the vectors they must carry (missing
-    edges carry zero).  Each edge's rule is solved from its tail's in-edge
-    vectors and observed unit injections; unrealizable targets, and targets
-    on edges the expanded instance lacks, raise.
+    ``plan`` maps expanded edge ids to the vectors they must carry.  Missing
+    edges carry zero and keep the empty rule.  Each planned edge's rule is
+    solved from its tail's in-edge vectors and observed unit injections;
+    unrealizable targets, and targets on edges the expanded instance lacks,
+    raise.
     """
-    expanded, _ = expand_time(instance, T)
+    expanded = expand_time(instance, T)
     if any(not 0 <= eid < expanded.n_edges for eid in plan):
         raise CodeError("plan vector on an edge outside the expanded instance")
     F = PrimeField(q)
     L = expanded.n_symbols
-    vectors: list[Vector] = [F.zeros(L)] * expanded.n_edges
+    zero = F.zeros(L)
     rules: list[LocalRule] = [EMPTY_RULE] * expanded.n_edges
     for eid in expanded.edges_in_topo_order():
-        target = plan.get(eid, F.zeros(L))
+        target = plan.get(eid)
+        if target is None:
+            continue
         if len(target) != L:
             raise CodeError(f"edge {eid}: plan vector has the wrong length")
         tail = expanded.tail(eid)
         in_ids = list(expanded.in_edges[tail])
         observed = list(expanded.observed_symbols(tail))
-        rows = [vectors[j] for j in in_ids] + [F.unit(L, k) for k in observed]
+        rows = [plan.get(j, zero) for j in in_ids] + [F.unit(L, k) for k in observed]
         coeffs = in_span(target, rows, q)
         if coeffs is None:
             raise CodeError(f"edge {eid}: plan vector not realizable at its tail")
@@ -230,7 +228,6 @@ def code_from_plan(
                 (k, c) for k, c in zip(observed, coeffs[n_in:]) if c != 0
             ),
         )
-        vectors[eid] = target
     return NetworkCode(q, T, tuple(rules))
 
 
@@ -301,6 +298,8 @@ def parse_code(text: str) -> tuple[NetworkCode, dict[int, Vector] | None]:
             if len(parts) != 4 or parts[2] != ":":
                 raise CodeError(f"line {lineno}: expected 'global <edge-id> : v,...'")
             eid = _parse_int(parts[1], lineno)
+            if eid in globals_table:
+                raise CodeError(f"line {lineno}: duplicate global line for edge {eid}")
             globals_table[eid] = tuple(
                 _parse_int(v, lineno) for v in parts[3].split(",")
             )

@@ -58,6 +58,11 @@ DEFAULT_BUDGET = 1 << 36
 # range(q) as a tuple of q ints, so the search refuses larger field orders
 # before allocating anything
 MAX_SEARCH_FIELD_ORDER = 65537
+# set-up lists the live edges at every position, in time quadratic in the
+# expanded edge count.  fig1 at T=64 sits at this bound and sets up in 0.07 s
+# (0.35 s routing) on one Xeon core under Python 3.11; at T=400 it took 3.7 s.
+# The search refuses more before expanding
+MAX_SEARCH_EDGES = 1024
 # largest q**L that gets add/scale tables.  Timed on whole sample_1m searches
 # (Python 3.11, one Xeon core, build counted), tables beat tuples 3.0-4.6x in
 # total at 81, 125, 243 and 343 vectors and lose only where the build
@@ -484,7 +489,12 @@ def _search(
         raise ValueError(
             f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}"
         )
-    expanded, _ = expand_time(instance, T)
+    if instance.n_edges * T > MAX_SEARCH_EDGES:
+        raise ValueError(
+            f"search covers at most {MAX_SEARCH_EDGES} expanded edges,"
+            f" got {instance.n_edges * T}"
+        )
+    expanded = expand_time(instance, T)
     arith = _arithmetic(q, expanded.n_symbols)
     order = expanded.edges_in_topo_order()
     M = len(order)

@@ -93,7 +93,7 @@ def _search(
         raise ValueError(
             f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}"
         )
-    expanded, _ = expand_time(instance, T)
+    expanded = expand_time(instance, T)
     ops = _PackedOps(q)
     order = expanded.edges_in_topo_order()
     M = len(order)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import re
+import sys
 import time
 
 import pytest
@@ -26,8 +28,9 @@ from netcode_unicast import (
     serialize_code,
     verify_code,
 )
-from netcode_unicast import netcode
+from netcode_unicast import constructors, netcode, oracle
 from netcode_unicast.cli import main
+from netcode_unicast.netcode import TerminalReport
 from test_netcode import BUTTERFLY, BUTTERFLY_CODE
 
 
@@ -313,6 +316,53 @@ def test_code_triple_splits_lowest_session(tmp_path):
     assert verify_code(load_instance(src), code).all_pass
 
 
+def test_code_checks_each_fact_once(tmp_path, monkeypatch):
+    src, out_path = str(tmp_path / "t.txt"), str(tmp_path / "t.code")
+    save_instance(sample_triple(3, (1, 3, 3)), src)
+    calls = dict.fromkeys(("minimize", "verify_code", "in_span"), 0)
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    # every module's binding, so no call escapes the count
+    for module in [m for k, m in sys.modules.items() if k.startswith("netcode_unicast.")]:
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    rc, out, _ = run_cli("code", src, "-o", out_path)
+    assert rc == 0 and "RESULT: code q=2 T=2" in out
+    # minimize twice per layer, the constructor's one verify, and one span
+    # solve per planned edge plus one per terminal symbol
+    assert calls == {"minimize": 4, "verify_code": 1, "in_span": 63}
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: sample_uniform(0, 3), "routing code"),
+        (lambda: sample_1m(0, 2), "constructed code"),
+        (lambda: sample_triple(3, (1, 3, 3)), "layered construction"),
+    ],
+)
+def test_code_reports_a_construction_that_does_not_verify(tmp_path, monkeypatch, make, name):
+    src, out_path = str(tmp_path / "i.txt"), tmp_path / "i.code"
+    save_instance(make(), src)
+    real = constructors.verify_code
+
+    def failing(instance, code):
+        result = real(instance, code)
+        return dataclasses.replace(result, reports=(TerminalReport(0, False, (), (None,)),))
+
+    monkeypatch.setattr(constructors, "verify_code", failing)
+    rc, out, _ = run_cli("code", src, "-o", str(out_path))
+    assert rc == 1
+    assert out == f"RESULT: construction failed: internal error: {name} does not verify\n"
+    assert not out_path.exists()
+
+
 def test_code_infeasible_triple_refused(fig2a, tmp_path):
     rc, out, _ = run_cli("code", fig2a, "-o", str(tmp_path / "no.code"))
     assert rc == 1
@@ -473,6 +523,24 @@ def test_verify_expands_the_instance_once(tmp_path, monkeypatch):
     ]
 
 
+def test_verify_refuses_a_duplicate_global_line(fig1, tmp_path):
+    code_path = tmp_path / "fig1.code"
+    assert run_cli("search", fig1, "--q", "2", "-o", str(code_path))[0] == 0
+    inst, (code, _) = load_instance(fig1), load_code(str(code_path))
+    right = ",".join(map(str, propagate(inst, code)[0]))
+    wrong = ",".join("1" if c == "0" else "0" for c in right.split(","))
+    text = serialize_code(code)
+    code_path.write_text(text + f"global 0 : {wrong}\n")
+    rc, out, _ = run_cli("verify", fig1, str(code_path))
+    assert (rc, out.splitlines()[-2:]) == (1, ["global 0: mismatch", "RESULT: verification failed"])
+    # a later correct line must not hide the wrong one
+    code_path.write_text(text + f"global 0 : {wrong}\nglobal 0 : {right}\n")
+    lineno = text.count("\n") + 2
+    rc, out, err = run_cli("verify", fig1, str(code_path))
+    assert (rc, out) == (2, "")
+    assert f"line {lineno}: duplicate global line for edge 0" in err
+
+
 def test_verify_huge_T_exits_2_before_expanding(fig1, tmp_path, monkeypatch):
     code_path = tmp_path / "huge.code"
     code_path.write_text("field q=2\nvector T=1000000\ncode 0 :\n")
@@ -605,6 +673,28 @@ def test_search_accepts_the_largest_search_field_order(fig1):
     rc, out, _ = run_cli("search", fig1, "--q", "65537", "--budget", "3")
     assert rc == 2
     assert out == "RESULT: field=65537 T=1 enumerated=4 exhausted=false code=none\n"
+
+
+@pytest.mark.parametrize("mode", ["linear", "routing"])
+def test_search_huge_T_exits_2_before_expanding(fig1, monkeypatch, mode):
+    def no_expansion(instance, T):
+        raise AssertionError(f"expanded to T={T} before checking the edge count")
+
+    monkeypatch.setattr(oracle, "expand_time", no_expansion)
+    start = time.process_time()
+    rc, out, err = run_cli("search", fig1, "--mode", mode, "--T", "1000000", "--budget", "1")
+    assert time.process_time() - start < 0.5
+    assert (rc, out) == (2, "")
+    assert "search covers at most 1024 expanded edges, got 16000000" in err
+
+
+def test_search_accepts_the_largest_expanded_instance(fig1):
+    # fig1's 16 edges at T=64 fill the bound exactly
+    assert oracle.MAX_SEARCH_EDGES == 16 * 64
+    rc, out, _ = run_cli("search", fig1, "--T", "64", "--budget", "1")
+    assert (rc, out) == (2, "RESULT: field=2 T=64 enumerated=2 exhausted=false code=none\n")
+    rc, _, err = run_cli("search", fig1, "--T", "65", "--budget", "1")
+    assert rc == 2 and "got 1040" in err
 
 
 # ---------------------------------------------------------------- export-dot

@@ -497,6 +497,27 @@ def test_assign_133_matches_the_stage_by_stage_reference_on_samples(order):
         )
 
 
+def test_assign_133_plans_layers_that_meet_assign_1m_preconditions(monkeypatch):
+    layers = []
+    real = constructors._plan_1m
+
+    def recorded(instance, q):
+        layers.append(instance)
+        return real(instance, q)
+
+    monkeypatch.setattr(constructors, "_plan_1m", recorded)
+    for inst in _bench_instances():
+        assign_133(inst)
+    assert len(layers) == 2 * 18
+    # assign_1m's checks, which _plan_1m no longer repeats
+    for layer in layers:
+        assert len(layer.sessions) == 2 and layer.sessions[0].rate == 1
+        m = layer.sessions[1].rate
+        assert connectivity_level(layer) == (1, m + 1)
+        assert internal_degree_ok(layer)
+        assert minimize(layer).removed == ()
+
+
 def test_assign_133_realizes_and_verifies_once(monkeypatch):
     inst = sample_triple(3, (1, 3, 3))
     calls = {"code_from_plan": 0, "verify_code": 0, "expand_time": 0}

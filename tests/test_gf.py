@@ -1,4 +1,4 @@
-"""Finite-field arithmetic and the rank/span primitives."""
+"""Finite-field arithmetic, elimination and span membership."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netcode_unicast.gf import PrimeField, in_span, is_prime, rank
+from netcode_unicast.gf import PrimeField, _eliminate, in_span, is_prime
 
 PRIMES = [2, 3, 5, 7]
 
@@ -19,8 +19,6 @@ def test_field_axioms_exhaustive(q):
     for a, b in itertools.product(elems, repeat=2):
         assert F.add(a, b) == (a + b) % q
         assert F.mul(a, b) == (a * b) % q
-    for a in range(1, q):
-        assert F.mul(a, F.inv(a)) == 1
 
 
 @pytest.mark.parametrize("q", [1, 4, 6, 9, 100])
@@ -28,11 +26,6 @@ def test_nonprime_rejected(q):
     with pytest.raises(ValueError):
         PrimeField(q)
     assert not is_prime(q)
-
-
-def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(0)
 
 
 def test_field_order_bounded_before_primality_test():
@@ -66,6 +59,13 @@ RANK_CASES = [
     (5, [], 0),
     (5, [(0, 0)], 0),
 ]
+
+
+def rank(rows, q):
+    """Rank as the number of pivots elimination finds."""
+    if not rows:
+        return 0
+    return len(_eliminate([list(r) for r in rows], len(rows[0]), q))
 
 
 @pytest.mark.parametrize("q,rows,expected", RANK_CASES)

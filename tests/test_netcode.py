@@ -18,7 +18,6 @@ from netcode_unicast.netcode import (
     serialize_code,
     simulate,
     verify_code,
-    zero_code,
 )
 
 BUTTERFLY = build_instance(
@@ -82,7 +81,8 @@ def test_verify_rank_deficiency_fails():
 
 
 def test_zero_code_fails():
-    assert not verify_code(BUTTERFLY, zero_code(2, 1, BUTTERFLY)).all_pass
+    zero = NetworkCode(2, 1, (EMPTY_RULE,) * BUTTERFLY.n_edges)
+    assert not verify_code(BUTTERFLY, zero).all_pass
 
 
 def test_validate_errors():
@@ -192,6 +192,7 @@ def test_code_file_with_globals():
     [
         ("code 0 : x0=1\n", "header"),
         ("field q=2\nvector T=1\ncode 0 : x0=1\ncode 0 : x0=1\n", "duplicate"),
+        ("field q=2\nvector T=1\nglobal 0 : 1\nglobal 0 : 1\n", "line 4: duplicate global"),
         ("field q=2\nvector T=1\ncode 1 : x0=1\n", "cover"),
         ("field q=2\nvector T=1\ncode 0 : y0=1\n", "bad coefficient"),
         ("field q=2\nvector T=1\ncode 0 x0=1\n", "expected"),
