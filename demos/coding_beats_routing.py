@@ -25,13 +25,13 @@ print("connectivity:", connectivity_level(inst))
 # Exhaustive search over scalar routing assignments: every edge forwards
 # one symbol or stays idle.  The search closes the whole space.
 routing = brute_force_routing(inst, 1)
-print(f"scalar routing: explored {routing.enumerated} states,",
+print(f"scalar routing: tried {routing.enumerated} coefficient blocks,",
       "none works" if routing.code is None else "found one")
 
 # Allow GF(2) combinations on each edge and a code appears immediately.
 scalar = brute_force_scalar(inst, 2, 1)
 assert scalar.code is not None
-print(f"scalar coding over GF(2): code found after {scalar.enumerated} states")
+print(f"scalar coding over GF(2): code found after {scalar.enumerated} blocks")
 print("  decodes at both terminals:", verify_code(inst, scalar.code).all_pass)
 print("  pure routing?", is_routing(propagate(inst, scalar.code)))
 

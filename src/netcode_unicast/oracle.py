@@ -2,29 +2,30 @@
 
 The brute-force searches enumerate local-coefficient assignments edge by
 edge in topological order, which is lexicographic order over the free
-coefficient blocks.  A memo of failed (position, frontier) states collapses
-subtrees whose outcome depends only on the vectors still visible to the
-remaining edges, so exhausting the space is usually far cheaper than the
-raw q**C count while still returning the identical first hit.
+coefficient blocks.  A memo of failed (position, state) pairs skips subtrees
+known to fail: the first hit is the lexicographically first code.
+
+The memo state.  In linear mode, whether the rest can be completed depends
+only on the span of the assigned in-edge vectors at each node still live (an
+out-edge or a terminal check to come): later out-edges draw from it and a
+check asks whether units lie in it (the subspace view of Koetter & Medard
+2003).  So the key holds one interned span id per live node.  Routing keeps
+the live vectors, since a one-hot rule copies a vector, not a span.
 
 Cost per block.  A node whose edge combines n generators (in-edge vectors
 and injected unit symbols) walks its q**n blocks with the last coefficient
 running fastest, so a block adds one copy of the last generator to the
 vector before it: one addition per block, plus n - 1 more for each of the
-q**(n-1) blocks that end in 0.  A terminal is checked when its last in-edge
-is assigned.  The span of its other in-edges is fixed for the whole visit,
-so it is built once per visit, and each distinct candidate vector v is
-tested once: every wanted unit u must have u - c*v in that span for some c.
-Entering a node costs one memo-key lookup (an ``itemgetter`` over the live
-edges) and a set probe.
+q**(n-1) blocks that end in 0.  A lookup in the join row of the head's span
+gives the new span id, or -1 at a terminal's last in-edge where the span
+misses a wanted unit; an ``itemgetter`` and a set probe test the next key.
 
 Arithmetic.  Vectors over GF(q) have L = T * (total rate) coordinates.  At
 q = 2 they are bitmasks and adding is XOR.  For q >= 3, while the q**L
 vectors number at most ``TABLE_VECTORS`` they are packed base-q integers and
 every sum and multiple is read from tables built once per search.  Above
-that no table fits (q = 65537 has 65537**L vectors), and the general path
-keeps them as tuples, adds coordinate by coordinate and checks terminals by
-elimination (``gf.in_span``).
+that no table fits (q = 65537 has 65537**L vectors): vectors are tuples and
+spans are reduced by ``gf._eliminate``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .gf import PrimeField, Vector, in_span
+from .gf import PrimeField, Vector, _eliminate
 from .graph import Session, UnicastInstance, build_instance, expand_time
 from .netcode import CodeError, LocalRule, NetworkCode, verify_code
 
@@ -58,10 +59,10 @@ DEFAULT_BUDGET = 1 << 36
 # range(q) as a tuple of q ints, so the search refuses larger field orders
 # before allocating anything
 MAX_SEARCH_FIELD_ORDER = 65537
-# set-up lists the live edges at every position, in time quadratic in the
-# expanded edge count.  fig1 at T=64 sits at this bound and sets up in 0.07 s
-# (0.35 s routing) on one Xeon core under Python 3.11; at T=400 it took 3.7 s.
-# The search refuses more before expanding
+# set-up takes time linear in the expanded edges times the live nodes per
+# position: fig1 at T=64 sits at this bound and sets up in 5 ms (10 ms
+# routing) on one Xeon core under Python 3.11, at T=256 in 65 ms (0.19 s
+# routing).  The search refuses more before expanding
 MAX_SEARCH_EDGES = 1024
 # largest q**L that gets add/scale tables.  Timed on whole sample_1m searches
 # (Python 3.11, one Xeon core, build counted), tables beat tuples 3.0-4.6x in
@@ -260,9 +261,10 @@ def gen_fig1() -> UnicastInstance:
 class SearchReport:
     """Outcome of one exhaustive search.
 
-    ``enumerated`` counts explored coefficient-block assignments (memoized
-    subtree skips are not re-counted).  ``exhausted`` true with no code
-    proves that no code of the searched class exists over GF(q) at this T.
+    ``enumerated`` counts the coefficient blocks tried, not those in
+    subtrees the memo skips; in linear mode its states are spans, which skip
+    more than exact vectors would.  ``exhausted`` true with no code proves
+    that no code of the searched class exists over GF(q) at this T.
     """
 
     q: int
@@ -282,10 +284,13 @@ class SearchReport:
 
 
 class _Xor:
-    """GF(2) vectors as bitmasks (bit k holds coordinate k); adding is XOR."""
+    """GF(2) vectors as bitmasks (bit k holds coordinate k); adding is XOR.
+    A span is its reduced basis, highest bit first: each basis vector's top
+    bit is set in no other basis vector."""
 
     q = 2
     zero = 0
+    zero_span: tuple[int, ...] = ()
 
     @staticmethod
     def unit(k: int) -> int:
@@ -304,39 +309,26 @@ class _Xor:
         return g.__xor__
 
     @staticmethod
-    def decoder(others: Sequence[int], units: Sequence[int]) -> Callable[[int], bool]:
-        # echelon basis of the others: each element, reduced in order against
-        # the ones before it, has their leading bits clear, so reducing x in
-        # the same order clears every leading bit and leaves the one member of
-        # x's coset with none set; the reduction is linear and 0 on the span
-        basis: list[int] = []
-        for w in others:
-            for b in basis:
-                w = min(w, w ^ b)
-            if w:
-                basis.append(w)
-
-        def reduce(x: int) -> int:
-            for b in basis:
-                x = min(x, x ^ b)
-            return x
-
-        residues = [reduce(u) for u in units]
-
-        def decodes(v: int) -> bool:
-            r = reduce(v)
-            return all(x == 0 or x == r for x in residues)
-
-        return decodes
+    def extend(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
+        # XOR with b lowers v exactly when v holds b's top bit, which no
+        # other basis vector holds, so this clears every top bit from v
+        for b in basis:
+            v = min(v, v ^ b)
+        if not v:
+            return basis
+        top = 1 << (v.bit_length() - 1)
+        return tuple(sorted([b ^ v if b & top else b for b in basis] + [v], reverse=True))
 
 
 class _Tables:
     """GF(q) vectors packed base q (digit k holds coordinate k), with every
-    sum and multiple read from tables over all q**L vectors."""
+    sum and multiple read from tables over all q**L vectors.  A span is the
+    frozenset of its elements."""
 
     def __init__(self, q: int, n_symbols: int):
         self.q = q
         self.zero = 0
+        self.zero_span = frozenset((0,))
         # add[a][b], grown one more significant digit at a time: a vector
         # a + p*d (a below p = q**k) plus b + p*e is add[a][b] + p*((d+e) % q)
         add: list[list[int]] = [[0]]
@@ -371,24 +363,17 @@ class _Tables:
     def adder(self, g: int) -> Callable[[int], int]:
         return self.add[g].__getitem__
 
-    def decoder(self, others: Sequence[int], units: Sequence[int]) -> Callable[[int], bool]:
-        add, mul = self.add, self.mul
-        span = {0}
-        for w in others:
-            if w not in span:
-                span = {add[s][m] for s in span for m in mul[w]}
-        shifts = [add[u].__getitem__ for u in units]
-
-        def decodes(v: int) -> bool:
-            # u lies in span + <v> when u - c*v lies in span for some c
-            multiples = mul[v]
-            return all(not span.isdisjoint(map(shift, multiples)) for shift in shifts)
-
-        return decodes
+    def extend(self, span: frozenset[int], v: int) -> frozenset[int]:
+        if v in span:
+            return span
+        return frozenset(self.add[s][m] for s in span for m in self.mul[v])
 
 
 class _Tuples:
-    """GF(q) vectors as tuples, for fields whose q**L vectors no table holds."""
+    """GF(q) vectors as tuples, for fields whose q**L vectors no table holds.
+    A span is its reduced row echelon basis, as ``gf._eliminate`` leaves it."""
+
+    zero_span: tuple[Vector, ...] = ()
 
     def __init__(self, q: int, n_symbols: int):
         self.q = q
@@ -405,16 +390,10 @@ class _Tuples:
     def adder(self, g: Vector) -> Callable[[Vector], Vector]:
         return partial(self.field.vec_add, g)
 
-    def decoder(
-        self, others: Sequence[Vector], units: Sequence[Vector]
-    ) -> Callable[[Vector], bool]:
-        q = self.q
-
-        def decodes(v: Vector) -> bool:
-            rows = [*others, v]
-            return all(in_span(u, rows, q) is not None for u in units)
-
-        return decodes
+    def extend(self, basis: tuple[Vector, ...], v: Vector) -> tuple[Vector, ...]:
+        rows = [list(b) for b in basis] + [list(v)]
+        rank = len(_eliminate(rows, self.n_symbols, self.q))
+        return tuple(tuple(r) for r in rows[:rank])
 
 
 def _arithmetic(q: int, n_symbols: int) -> _Xor | _Tables | _Tuples:
@@ -426,6 +405,47 @@ def _arithmetic(q: int, n_symbols: int) -> _Xor | _Tables | _Tuples:
     if q ** min(n_symbols, 8) <= TABLE_VECTORS:
         return _Tables(q, n_symbols)
     return _Tuples(q, n_symbols)
+
+
+class _Lazy(dict):
+    """A dict that fills a missing entry with ``fill(key)`` on first use."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _span_rows(arith: _Xor | _Tables | _Tuples) -> _Lazy:
+    """Join rows over interned spans: ``rows[sid][v]`` is the id of
+    span(sid) + <v>, and id 0 is {0}.  Equal spans get equal ids.  The spans
+    live in this closure and refer to no row, so the rows form no cycle."""
+    canon = [arith.zero_span]
+    ids = {arith.zero_span: 0}
+
+    def join(sid: int, v: object) -> int:
+        span = arith.extend(canon[sid], v)
+        new = ids.setdefault(span, len(canon))
+        if new == len(canon):
+            canon.append(span)
+        return new
+
+    return _Lazy(lambda sid: _Lazy(partial(join, sid)))
+
+
+def _checked_rows(rows: _Lazy, units: Sequence) -> _Lazy:
+    """Rows like ``rows`` but -1 wherever the joined span misses one of
+    ``units``; a span holds u exactly when joining u leaves it unchanged."""
+
+    def checked(row: _Lazy, v: object) -> int:
+        sid = row[v]
+        return sid if all(rows[sid][u] == sid for u in units) else -1
+
+    return _Lazy(lambda prev: _Lazy(partial(checked, rows[prev])))
 
 
 def _linear_blocks(arith, gens: Sequence) -> Iterator[tuple[tuple[int, ...], object]]:
@@ -459,19 +479,7 @@ def _routing_blocks(n: int) -> tuple[list[tuple[int, ...]], Callable[[list], Seq
     return blocks, itemgetter(*picks) if n else list
 
 
-class _Verdicts(dict):
-    """Terminal-check answers for one visit, keyed by the checked vector."""
-
-    def __init__(self, decodes: Callable[[object], bool]):
-        super().__init__()
-        self.decodes = decodes
-
-    def __missing__(self, v: object) -> bool:
-        ok = self[v] = self.decodes(v)
-        return ok
-
-
-def _no_live(vecs: list) -> tuple:
+def _no_live(state: list) -> tuple:
     return ()
 
 
@@ -498,63 +506,66 @@ def _search(
     arith = _arithmetic(q, expanded.n_symbols)
     order = expanded.edges_in_topo_order()
     M = len(order)
-    pos = [0] * M
-    for i, eid in enumerate(order):
-        pos[eid] = i
+    heads = [expanded.head(x) for x in order]
+    # until[h]: the last position that needs node h's span, its last
+    # out-edge, or its last in-edge if it is a terminal (-1: none);
+    # prev_in[i]: the position of heads[i]'s in-edge before i (M: none)
+    until = [-1] * expanded.n_nodes
+    prev_in = [M] * M
+    last_in: dict[int, int] = {}
+    for i, x in enumerate(order):
+        until[expanded.tail(x)] = i
+        prev_in[i] = last_in.get(heads[i], M)
+        last_in[heads[i]] = i
 
-    # sessions grouped by terminal node; a terminal is checked when its last
-    # in-edge is assigned, against the span of its other in-edges, which are
-    # fixed for the whole visit
-    by_terminal: dict[int, list[int]] = {}
+    # the blocks at position i are read through the join row of the span of
+    # heads[i]'s in-edges before i; a terminal is checked at its last in-edge
+    rows = _span_rows(arith)
+    joins_at = [rows] * M
+    wanted: dict[int, list] = {}
     for idx, s in enumerate(expanded.sessions):
-        by_terminal.setdefault(s.terminal, []).append(idx)
-    check_at: list[tuple[list[int], list] | None] = [None] * M
-    for node, session_ids in by_terminal.items():
-        in_ids = expanded.in_edges[node]
-        if not in_ids:
+        units = wanted.setdefault(s.terminal, [])
+        units += [arith.unit(sym) for sym in expanded.session_symbols(idx)]
+    for node, units in wanted.items():
+        if node not in last_in:
             return SearchReport(q, T, 0, True, None)
-        last = max(in_ids, key=pos.__getitem__)
-        units = [
-            arith.unit(sym) for i in session_ids for sym in expanded.session_symbols(i)
-        ]
-        check_at[pos[last]] = ([e for e in in_ids if e != last], units)
+        until[node] = max(until[node], last_in[node])
+        joins_at[last_in[node]] = _checked_rows(rows, units)
 
-    # how long each assigned edge stays relevant: as long as some out-edge
-    # of its head is unassigned, or its head's terminal check is pending
-    last_rel = [0] * M
-    for eid in range(M):
-        h = expanded.head(eid)
-        rel = pos[eid]
-        if expanded.out_edges[h]:
-            rel = max(rel, max(pos[e] for e in expanded.out_edges[h]))
-        if h in by_terminal:
-            rel = max(rel, max(pos[e] for e in expanded.in_edges[h]))
-        last_rel[eid] = rel
-    # memo key at position i: the vectors of the edges live there
-    key_at = []
-    for i in range(M + 1):
-        live = [x for x in range(M) if pos[x] < i <= last_rel[x]]
-        key_at.append(itemgetter(*live) if live else _no_live)
+    # one sweep: the key at position p reads, for each node h live there
+    # (an in-edge assigned, until[h] >= p), the span id at its last in-edge
+    # before p: by position, as a per-node record would keep a deeper
+    # branch's span after backtracking.  Routing reads the in-edge vectors
+    live: dict[int, list[int]] = {}
+    key_at = [_no_live]
+    for p, h in enumerate(heads, start=1):
+        if routing:
+            live.setdefault(h, []).append(order[p - 1])
+        else:
+            live[h] = [p - 1]
+        live = {n: r for n, r in live.items() if until[n] >= p}
+        reads = [r for rs in live.values() for r in rs]
+        key_at.append(itemgetter(*reads) if reads else _no_live)
 
     in_ids_at = [expanded.in_edges[expanded.tail(order[i])] for i in range(M)]
     src_ids_at = [expanded.observed_symbols(expanded.tail(order[i])) for i in range(M)]
     units_at = [[arith.unit(k) for k in src_ids_at[i]] for i in range(M)]
-    routes = [
-        _routing_blocks(len(in_ids_at[i]) + len(units_at[i])) if routing else None
-        for i in range(M)
-    ]
+    # routing blocks per generator count, built on first use
+    routes = _Lazy(_routing_blocks)
 
     vecs = [arith.zero] * M
+    # sids[i]: the span id of heads[i]'s in-edges up to i; sids[M] stays 0
+    sids = [0] * (M + 1)
+    state = vecs if routing else sids
     chosen: list[tuple[int, ...]] = [()] * M
     memos: list[set] = [set() for _ in range(M + 1)]
     keys: list[object] = [None] * M
-    # per depth of the walk: the (block, vector) iterator and the terminal
-    # check answers of the visit in progress there
+    # per depth: the (block, vector) iterator and the row of the visit there
     walks: list[Iterator | None] = [None] * M
-    verdicts: list[_Verdicts | None] = [None] * M
+    visit_rows: list[_Lazy | None] = [None] * M
     counter = 0
     i = -1
-    key = key_at[0](vecs)
+    key = key_at[0](state)
     found = M == 0
     while not found:
         if key is not None:
@@ -563,17 +574,13 @@ def _search(
             keys[i] = key
             gens = [vecs[e] for e in in_ids_at[i]] + units_at[i]
             if routing:
-                blocks, pick = routes[i]
+                blocks, pick = routes[len(gens)]
                 walks[i] = zip(blocks, pick([arith.zero, *gens]))
             else:
                 walks[i] = _linear_blocks(arith, gens)
-            check = check_at[i]
-            verdicts[i] = (
-                None if check is None
-                else _Verdicts(arith.decoder([vecs[e] for e in check[0]], check[1]))
-            )
+            visit_rows[i] = joins_at[i][sids[prev_in[i]]]
         x = order[i]
-        verdict = verdicts[i]
+        row = visit_rows[i]
         memo_next = memos[i + 1]
         key_next = key_at[i + 1]
         key = None
@@ -581,40 +588,33 @@ def _search(
             counter += 1
             if counter > budget:
                 return SearchReport(q, T, counter, False, None)
-            if verdict is not None and not verdict[v]:
+            sid = row[v]
+            if sid < 0:
                 continue
             vecs[x] = v
+            sids[i] = sid
             chosen[i] = block
             if i + 1 == M:
                 found = True
                 break
-            key = key_next(vecs)
+            key = key_next(state)
             if key not in memo_next:
                 break
             key = None
         else:
             # every block failed: this state fails wherever it recurs
             memos[i].add(keys[i])
-            walks[i] = verdicts[i] = None
+            walks[i] = visit_rows[i] = None
             if i == 0:
                 return SearchReport(q, T, counter, True, None)
             i -= 1
 
     rules = [None] * M
-    for i in range(M):
-        in_ids = in_ids_at[i]
-        src_ids = src_ids_at[i]
-        block = chosen[i]
-        n_in = len(in_ids)
+    for i, block in enumerate(chosen):
+        n_in = len(in_ids_at[i])
         rules[order[i]] = LocalRule(
-            in_coeffs=tuple(
-                (in_ids[j], block[j]) for j in range(n_in) if block[j]
-            ),
-            src_coeffs=tuple(
-                (src_ids[k], block[n_in + k])
-                for k in range(len(src_ids))
-                if block[n_in + k]
-            ),
+            in_coeffs=tuple((e, c) for e, c in zip(in_ids_at[i], block) if c),
+            src_coeffs=tuple((k, c) for k, c in zip(src_ids_at[i], block[n_in:]) if c),
         )
     code = NetworkCode(q=q, T=T, rules=tuple(rules))
     if not verify_code(instance, code).all_pass:

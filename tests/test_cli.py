@@ -628,7 +628,7 @@ def test_search_finds_and_saves_code(fig1, tmp_path):
     lines = out.splitlines()
     assert lines[0] == f"CODE: {code_path}"
     assert lines[1] == (
-        f"RESULT: field=2 T=1 enumerated=391 exhausted=false code={code_path}"
+        f"RESULT: field=2 T=1 enumerated=315 exhausted=false code={code_path}"
     )
     assert run_cli("verify", fig1, code_path)[0] == 0
 

@@ -324,14 +324,33 @@ def test_search_state_is_freed_without_the_cycle_collector():
 
 # ------------------------------------------------ against the reference search
 
+# a reference search this long is still cheap enough to rerun without the
+# budget when only the fast search finished under it
+AFFORDABLE = 1_000_000
+
+
+def _finished(report):
+    return report.exhausted or report.code is not None
+
+
 def _same_as_reference(instance, q, T=1, budget=oracle.DEFAULT_BUDGET, routing=False):
     got = oracle._search(instance, q, T, budget, routing)
     want = reference_search(instance, q, T, budget, routing)
-    assert (got.enumerated, got.exhausted, got.code) == (
-        want.enumerated,
-        want.exhausted,
-        want.code,
-    )
+    if routing:
+        # routing keeps the exact memo key: the same walk, block for block
+        assert (got.enumerated, got.exhausted, got.code) == (
+            want.enumerated,
+            want.exhausted,
+            want.code,
+        )
+        return got
+    # the span key prunes only subtrees that fail: the same outcome in no
+    # more blocks, and a reference cut at budget + 1 blocks bounds the search
+    assert got.enumerated <= want.enumerated
+    if _finished(got) and not _finished(want) and budget < AFFORDABLE:
+        want = reference_search(instance, q, T, AFFORDABLE, routing)
+    if _finished(want):
+        assert (got.exhausted, got.code) == (want.exhausted, want.code)
     return got
 
 
@@ -368,6 +387,12 @@ def test_sampled_searches_match_the_reference(j, m, q, T):
     _same_as_reference(sample_1m(j, m), q, T, budget=12_000)
 
 
+@pytest.mark.parametrize("j", range(30, 40))
+@pytest.mark.parametrize("m, q", [(1, 2), (1, 3), (1, 5), (2, 2)])
+def test_more_sampled_searches_match_the_reference(j, m, q):
+    _same_as_reference(sample_1m(j, m), q, budget=12_000)
+
+
 @pytest.mark.parametrize("budget", (1, 2, 3, 10))
 @pytest.mark.parametrize(
     "instance, q, routing",
@@ -387,6 +412,24 @@ def test_routing_over_a_node_with_nothing_to_forward_matches_the_reference(T):
         [("s1", "t1")],
     )
     _same_as_reference(inst, 2, T, routing=True)
+
+
+def test_span_key_pins_the_rate_21_proof_at_q3():
+    # 1,384,362 blocks under the exact key; a looser memo would show here
+    report = brute_force_scalar(gen_23_rate21(), 3)
+    assert (report.enumerated, report.exhausted, report.code) == (77_985, True, None)
+
+
+def test_routing_blocks_are_built_once_per_generator_count(monkeypatch):
+    calls = []
+    build = oracle._routing_blocks
+    monkeypatch.setattr(oracle, "_routing_blocks", lambda n: calls.append(n) or build(n))
+    # fig1 at T=64 fills MAX_SEARCH_EDGES; the budget stops the walk at once
+    assert brute_force_routing(gen_fig1(), 64, budget=1).enumerated == 2
+    assert len(calls) <= 2
+    calls.clear()
+    brute_force_routing(gen_fig1(), 1)
+    assert sorted(calls) == sorted(set(calls))
 
 
 @pytest.mark.parametrize("n", (0, 1, 3))
@@ -438,3 +481,33 @@ def test_tables_hold_field_sums_and_multiples(q, n_symbols):
             assert digits(tables.add[a][b]) == field.vec_add(digits(a), digits(b))
         for c in range(q):
             assert digits(tables.mul[a][c]) == field.vec_scale(c, digits(a))
+
+
+@pytest.mark.parametrize(
+    "q, n_symbols, tuples",
+    [(2, 1, False), (2, 2, False), (2, 3, False), (3, 1, False), (3, 2, False), (5, 2, False),
+     (2, 3, True), (3, 2, True)],
+)
+def test_span_ids_are_equal_exactly_when_the_spans_are(q, n_symbols, tuples):
+    arith = oracle._Tuples(q, n_symbols) if tuples else oracle._arithmetic(q, n_symbols)
+    rows = oracle._span_rows(arith)
+    field = PrimeField(q)
+
+    def packed(v):
+        # bit or base-q digit k holds coordinate k
+        return v if tuples else sum(d * q**k for k, d in enumerate(v))
+
+    vectors = list(product(range(q), repeat=n_symbols))
+    ids_of = {}
+    for n in range(n_symbols + 1):
+        for gens in product(vectors, repeat=n):
+            sid = 0
+            for v in gens:
+                sid = rows[sid][packed(v)]
+            span = frozenset(
+                field.vec_combine(c, gens, n_symbols) for c in product(range(q), repeat=n)
+            )
+            ids_of.setdefault(span, set()).add(sid)
+    # one id per span, and no two spans share one
+    assert all(len(ids) == 1 for ids in ids_of.values())
+    assert len(set().union(*ids_of.values())) == len(ids_of)
