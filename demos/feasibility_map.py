@@ -35,7 +35,8 @@ for name, make in (("gen_222", gen_222), ("gen_113", gen_113)):
 
 # No cut rules out the [2,2,3] witness; only exhausting every GF(2) code
 # does.  (GF(3) exhausts too, see the test suite.)  The search skips every
-# state whose node spans match one already failed, so it tries far fewer
+# state whose node spans match one already failed, and every state in which
+# a terminal can no longer receive its symbols, so it tries far fewer
 # coefficient blocks than there are codes.
 report = brute_force_scalar(gen_232(), 2)
 print(f"gen_232: tried {report.enumerated} coefficient blocks,",

@@ -59,16 +59,8 @@ _WITNESS_GENERATORS = {
     "gen_232": gen_232,
 }
 
-_PALETTE = (
-    "crimson",
-    "royalblue",
-    "forestgreen",
-    "darkorange",
-    "purple",
-    "teal",
-    "saddlebrown",
-    "deeppink",
-)
+_PALETTE = ("crimson", "royalblue", "forestgreen", "darkorange",
+            "purple", "teal", "saddlebrown", "deeppink")
 
 
 def _fmt_vec(values: Sequence[int]) -> str:
@@ -240,11 +232,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    q = 2 if args.q is None else args.q
+    if args.mode == "routing" and q != 2:
+        raise ValueError(f"a routing search runs over GF(2) only, got --q {q}")
     inst = load_instance(args.instance)
     if args.mode == "routing":
         report = brute_force_routing(inst, args.T, budget=args.budget)
     else:
-        report = brute_force_scalar(inst, args.q, args.T, budget=args.budget)
+        report = brute_force_scalar(inst, q, args.T, budget=args.budget)
     code_ref = "none"
     if report.code is not None:
         if args.output:
@@ -360,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive code search")
     p.add_argument("instance")
-    p.add_argument("--q", type=int, default=2, help="field size (prime)")
+    p.add_argument("--q", type=int, help="field size (prime, default 2; routing: 2 only)")
     p.add_argument("--T", type=int, default=1, help="vector length")
     p.add_argument("--mode", choices=("linear", "routing"), default="linear")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

@@ -124,16 +124,11 @@ class UnicastInstance:
         except ValueError:
             raise InstanceError(f"unknown node {name!r}") from None
 
-    def topo_index(self) -> tuple[int, ...]:
-        """Position of each node in the deterministic topological order."""
+    def edges_in_topo_order(self) -> list[int]:
+        """Edge ids ordered so every edge appears after its tail's in-edges."""
         pos = [0] * self.n_nodes
         for i, v in enumerate(self.topo_order):
             pos[v] = i
-        return tuple(pos)
-
-    def edges_in_topo_order(self) -> list[int]:
-        """Edge ids ordered so every edge appears after its tail's in-edges."""
-        pos = self.topo_index()
         return sorted(range(self.n_edges), key=lambda e: (pos[self.edges[e][0]], e))
 
     # -- symbol layout ----------------------------------------------------

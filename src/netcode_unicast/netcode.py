@@ -101,30 +101,6 @@ def _propagate(expanded: UnicastInstance, code: NetworkCode) -> tuple[Vector, ..
     return tuple(vectors)
 
 
-def simulate(
-    instance: UnicastInstance, code: NetworkCode, source_values: Vector
-) -> tuple[int, ...]:
-    """Push concrete source values through the local rules edge by edge.
-
-    Independent of :func:`propagate`; used to cross-check that local and
-    global views agree.
-    """
-    expanded = code.validate(instance)
-    F = PrimeField(code.q)
-    if len(source_values) != expanded.n_symbols:
-        raise CodeError("source value vector has the wrong length")
-    values = [0] * expanded.n_edges
-    for eid in expanded.edges_in_topo_order():
-        rule = code.rules[eid]
-        acc = 0
-        for j, coeff in rule.in_coeffs:
-            acc = F.add(acc, F.mul(coeff, values[j]))
-        for k, coeff in rule.src_coeffs:
-            acc = F.add(acc, F.mul(coeff, source_values[k]))
-        values[eid] = acc
-    return tuple(values)
-
-
 @dataclass(frozen=True, slots=True)
 class TerminalReport:
     """Decodability of one session at its terminal.

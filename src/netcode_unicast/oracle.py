@@ -12,6 +12,14 @@ check asks whether units lie in it (the subspace view of Koetter & Medard
 2003).  So the key holds one interned span id per live node.  Routing keeps
 the live vectors, since a one-hot rule copies a vector, not a span.
 
+Lookahead (linear mode).  Every later edge carries a vector from its tail's
+span plus the units observed there, so all that a terminal t with in-edges
+to come can still receive lies in the join of its span with span(h) +
+units(h) over the live nodes h reaching t.  A state whose join misses a unit
+of t has no completion, and its key goes into the memo unentered: verdicts
+and first codes stay.  The join shrinks only when a node fires its last
+out-edge, so only then is it taken, for the terminals that node reaches.
+
 Cost per block.  A node whose edge combines n generators (in-edge vectors
 and injected unit symbols) walks its q**n blocks with the last coefficient
 running fastest, so a block adds one copy of the last generator to the
@@ -59,10 +67,10 @@ DEFAULT_BUDGET = 1 << 36
 # range(q) as a tuple of q ints, so the search refuses larger field orders
 # before allocating anything
 MAX_SEARCH_FIELD_ORDER = 65537
-# set-up takes time linear in the expanded edges times the live nodes per
-# position: fig1 at T=64 sits at this bound and sets up in 5 ms (10 ms
-# routing) on one Xeon core under Python 3.11, at T=256 in 65 ms (0.19 s
-# routing).  The search refuses more before expanding
+# set-up, lookahead included, takes time linear in the expanded edges times
+# the live nodes per position: fig1 at T=64 sits at this bound and sets up in
+# 2.8 ms (6.6 ms routing) on one Xeon core under Python 3.11, at T=256 in
+# 19-28 ms (0.09 s routing).  The search refuses more before expanding
 MAX_SEARCH_EDGES = 1024
 # largest q**L that gets add/scale tables.  Timed on whole sample_1m searches
 # (Python 3.11, one Xeon core, build counted), tables beat tuples 3.0-4.6x in
@@ -262,9 +270,10 @@ class SearchReport:
     """Outcome of one exhaustive search.
 
     ``enumerated`` counts the coefficient blocks tried, not those in
-    subtrees the memo skips; in linear mode its states are spans, which skip
-    more than exact vectors would.  ``exhausted`` true with no code proves
-    that no code of the searched class exists over GF(q) at this T.
+    subtrees the memo or the lookahead skips; in linear mode its states are
+    spans, which skip more than exact vectors would.  ``pruned`` counts the
+    states the lookahead cut, 0 in routing mode.  ``exhausted`` true with no
+    code proves that no code of the searched class exists over GF(q) at T.
     """
 
     q: int
@@ -272,6 +281,7 @@ class SearchReport:
     enumerated: int
     exhausted: bool
     code: NetworkCode | None
+    pruned: int = 0
 
     def summary(self, code_ref: str = "none") -> str:
         """Flat key=value rendering; ``code_ref`` names the stored code."""
@@ -420,11 +430,17 @@ class _Lazy(dict):
         return value
 
 
-def _span_rows(arith: _Xor | _Tables | _Tuples) -> _Lazy:
+class _Rows(_Lazy):
+    __slots__ = ("joins",)
+
+
+def _span_rows(arith: _Xor | _Tables | _Tuples) -> _Rows:
     """Join rows over interned spans: ``rows[sid][v]`` is the id of
-    span(sid) + <v>, and id 0 is {0}.  Equal spans get equal ids.  The spans
+    span(sid) + <v>, id 0 is {0}, and ``rows.joins[a][b]`` is the id of
+    span(a) + span(b).  Equal spans get equal ids.  The spans and their bases
     live in this closure and refer to no row, so the rows form no cycle."""
     canon = [arith.zero_span]
+    bases: list[tuple] = [()]
     ids = {arith.zero_span: 0}
 
     def join(sid: int, v: object) -> int:
@@ -432,9 +448,17 @@ def _span_rows(arith: _Xor | _Tables | _Tuples) -> _Lazy:
         new = ids.setdefault(span, len(canon))
         if new == len(canon):
             canon.append(span)
+            bases.append(bases[sid] + (v,))
         return new
 
-    return _Lazy(lambda sid: _Lazy(partial(join, sid)))
+    def join_spans(a: int, b: int) -> int:
+        for v in bases[b]:
+            a = join(a, v)
+        return a
+
+    rows = _Rows(lambda sid: _Lazy(partial(join, sid)))
+    rows.joins = _Lazy(lambda a: _Lazy(partial(join_spans, a)))
+    return rows
 
 
 def _checked_rows(rows: _Lazy, units: Sequence) -> _Lazy:
@@ -446,6 +470,19 @@ def _checked_rows(rows: _Lazy, units: Sequence) -> _Lazy:
         return sid if all(rows[sid][u] == sid for u in units) else -1
 
     return _Lazy(lambda prev: _Lazy(partial(checked, rows[prev])))
+
+
+def _serves(rows: _Rows, terms: list[tuple[list[int], int, list]], sids: list) -> bool:
+    """False when, for some (reads, base, units) in ``terms``, the span base
+    joined with the spans ``sids[r]`` for r in reads misses one of units."""
+    for reads, sid, units in terms:
+        for r in reads:
+            sid = rows.joins[sid][sids[r]]
+        row = rows[sid]
+        for u in units:
+            if row[u] != sid:
+                return False
+    return True
 
 
 def _linear_blocks(arith, gens: Sequence) -> Iterator[tuple[tuple[int, ...], object]]:
@@ -494,9 +531,7 @@ def _search(
         raise ValueError("budget must be positive")
     PrimeField(q)
     if q > MAX_SEARCH_FIELD_ORDER:
-        raise ValueError(
-            f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}"
-        )
+        raise ValueError(f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}")
     if instance.n_edges * T > MAX_SEARCH_EDGES:
         raise ValueError(
             f"search covers at most {MAX_SEARCH_EDGES} expanded edges,"
@@ -507,6 +542,7 @@ def _search(
     order = expanded.edges_in_topo_order()
     M = len(order)
     heads = [expanded.head(x) for x in order]
+    tails = [expanded.tail(x) for x in order]
     # until[h]: the last position that needs node h's span, its last
     # out-edge, or its last in-edge if it is a terminal (-1: none);
     # prev_in[i]: the position of heads[i]'s in-edge before i (M: none)
@@ -531,13 +567,23 @@ def _search(
             return SearchReport(q, T, 0, True, None)
         until[node] = max(until[node], last_in[node])
         joins_at[last_in[node]] = _checked_rows(rows, units)
+    observed = {u: expanded.observed_symbols(u) for u in set(tails)}
+    units_of = {u: [arith.unit(k) for k in ids] for u, ids in observed.items() if ids}
+    # reach[v] has bit j when v reaches the terminal of bit j
+    bit = {t: 1 << j for j, t in enumerate(wanted)}
+    reach = [0] * expanded.n_nodes
+    for v in reversed(expanded.topo_order):
+        for x in expanded.out_edges[v]:
+            reach[v] |= reach[expanded.head(x)] | bit.get(expanded.head(x), 0)
 
     # one sweep: the key at position p reads, for each node h live there
     # (an in-edge assigned, until[h] >= p), the span id at its last in-edge
     # before p: by position, as a per-node record would keep a deeper
-    # branch's span after backtracking.  Routing reads the in-edge vectors
+    # branch's span after backtracking.  Routing reads the in-edge vectors;
+    # a linear search adds the lookahead where tails[p-1] fired its last out-edge
     live: dict[int, list[int]] = {}
     key_at = [_no_live]
+    ahead_at: list[Callable | None] = [None] * (M + 1)
     for p, h in enumerate(heads, start=1):
         if routing:
             live.setdefault(h, []).append(order[p - 1])
@@ -546,10 +592,24 @@ def _search(
         live = {n: r for n, r in live.items() if until[n] >= p}
         reads = [r for rs in live.values() for r in rs]
         key_at.append(itemgetter(*reads) if reads else _no_live)
+        if routing or until[tails[p - 1]] >= p:
+            continue
+        terms = []
+        for t, j in bit.items():
+            if reach[tails[p - 1]] & j and last_in[t] >= p:
+                base = 0
+                for n, units in units_of.items():
+                    if until[n] >= p and reach[n] & j:
+                        for u in units:
+                            base = rows[base][u]
+                reads = [r for n, (r,) in live.items() if n == t or reach[n] & j]
+                terms.append((reads, base, wanted[t]))
+        if terms:
+            ahead_at[p] = partial(_serves, rows, terms)
 
-    in_ids_at = [expanded.in_edges[expanded.tail(order[i])] for i in range(M)]
-    src_ids_at = [expanded.observed_symbols(expanded.tail(order[i])) for i in range(M)]
-    units_at = [[arith.unit(k) for k in src_ids_at[i]] for i in range(M)]
+    in_ids_at = [expanded.in_edges[u] for u in tails]
+    src_ids_at = [observed[u] for u in tails]
+    units_at = [units_of.get(u, []) for u in tails]
     # routing blocks per generator count, built on first use
     routes = _Lazy(_routing_blocks)
 
@@ -563,7 +623,7 @@ def _search(
     # per depth: the (block, vector) iterator and the row of the visit there
     walks: list[Iterator | None] = [None] * M
     visit_rows: list[_Lazy | None] = [None] * M
-    counter = 0
+    counter = pruned = 0
     i = -1
     key = key_at[0](state)
     found = M == 0
@@ -583,11 +643,12 @@ def _search(
         row = visit_rows[i]
         memo_next = memos[i + 1]
         key_next = key_at[i + 1]
+        ahead = ahead_at[i + 1]
         key = None
         for block, v in walks[i]:
             counter += 1
             if counter > budget:
-                return SearchReport(q, T, counter, False, None)
+                return SearchReport(q, T, counter, False, None, pruned)
             sid = row[v]
             if sid < 0:
                 continue
@@ -599,14 +660,18 @@ def _search(
                 break
             key = key_next(state)
             if key not in memo_next:
-                break
+                if ahead is None or ahead(sids):
+                    break
+                # a pending terminal can no longer be served: cut unentered
+                memo_next.add(key)
+                pruned += 1
             key = None
         else:
             # every block failed: this state fails wherever it recurs
             memos[i].add(keys[i])
             walks[i] = visit_rows[i] = None
             if i == 0:
-                return SearchReport(q, T, counter, True, None)
+                return SearchReport(q, T, counter, True, None, pruned)
             i -= 1
 
     rules = [None] * M
@@ -619,7 +684,7 @@ def _search(
     code = NetworkCode(q=q, T=T, rules=tuple(rules))
     if not verify_code(instance, code).all_pass:
         raise CodeError("internal error: search returned a non-verifying code")
-    return SearchReport(q, T, counter, False, code)
+    return SearchReport(q, T, counter, False, code, pruned)
 
 
 def brute_force_scalar(

@@ -12,6 +12,7 @@ import time
 from itertools import product
 
 from cut_oracle import cutset_infeasible_exhaustive
+from simulate_oracle import simulate
 
 from netcode_unicast import (
     DEFAULT_BUDGET,
@@ -39,7 +40,6 @@ from netcode_unicast import (
     sample_1m,
     sample_triple,
     sample_uniform,
-    simulate,
     structure,
     verify_code,
 )

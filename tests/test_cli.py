@@ -612,7 +612,7 @@ def test_classify_out_of_range_exits_2():
 def test_search_exhausts_fig2b(fig2b):
     rc, out, _ = run_cli("search", fig2b, "--q", "2")
     assert rc == 1
-    assert out.strip() == "RESULT: field=2 T=1 enumerated=32 exhausted=true code=none"
+    assert out.strip() == "RESULT: field=2 T=1 enumerated=8 exhausted=true code=none"
 
 
 def test_search_budget_exceeded_exits_2(fig2b):
@@ -628,7 +628,7 @@ def test_search_finds_and_saves_code(fig1, tmp_path):
     lines = out.splitlines()
     assert lines[0] == f"CODE: {code_path}"
     assert lines[1] == (
-        f"RESULT: field=2 T=1 enumerated=315 exhausted=false code={code_path}"
+        f"RESULT: field=2 T=1 enumerated=53 exhausted=false code={code_path}"
     )
     assert run_cli("verify", fig1, code_path)[0] == 0
 
@@ -643,6 +643,16 @@ def test_search_routing_mode_exhausts_scalar(fig1):
     rc, out, _ = run_cli("search", fig1, "--mode", "routing")
     assert rc == 1
     assert "exhausted=true code=none" in out
+
+
+def test_search_routing_refuses_a_field_other_than_gf2(fig1):
+    rc, out, err = run_cli("search", fig1, "--mode", "routing", "--q", "3")
+    assert (rc, out) == (2, "")
+    assert "GF(2) only, got --q 3" in err
+    # --q 2 is what routing runs anyway
+    assert run_cli("search", fig1, "--mode", "routing", "--q", "2") == run_cli(
+        "search", fig1, "--mode", "routing"
+    )
 
 
 def test_search_rejects_composite_field(fig2b):

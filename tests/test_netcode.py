@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from simulate_oracle import simulate
 
 from netcode_unicast.gf import PrimeField
 from netcode_unicast.graph import build_instance
@@ -16,7 +17,6 @@ from netcode_unicast.netcode import (
     parse_code,
     propagate,
     serialize_code,
-    simulate,
     verify_code,
 )
 

@@ -1,7 +1,7 @@
 """Triple classification, canonical generators, exhaustive search engine."""
 
 import gc
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from cut_oracle import cutset_infeasible_exhaustive
@@ -30,7 +30,7 @@ from netcode_unicast.oracle import (
     gen_23_rate21,
     gen_fig1,
 )
-from netcode_unicast.sampling import sample_1m
+from netcode_unicast.sampling import sample_1m, sample_triple
 
 BUTTERFLY = build_instance(
     [
@@ -415,9 +415,78 @@ def test_routing_over_a_node_with_nothing_to_forward_matches_the_reference(T):
 
 
 def test_span_key_pins_the_rate_21_proof_at_q3():
-    # 1,384,362 blocks under the exact key; a looser memo would show here
+    # 1,384,362 blocks under the exact key, 77,985 under the span key alone;
+    # a looser memo or a weaker lookahead would show here
     report = brute_force_scalar(gen_23_rate21(), 3)
-    assert (report.enumerated, report.exhausted, report.code) == (77_985, True, None)
+    assert (report.enumerated, report.exhausted, report.code) == (15_687, True, None)
+
+
+# the lookahead's exact counts on the other benchmark searches; fig2b at q=2
+# and fig1 at q=2 are pinned through the command line in test_cli.py
+@pytest.mark.parametrize(
+    "gen, q, blocks",
+    [
+        (gen_222, 2, 454),
+        (gen_222, 3, 1_953),
+        (gen_113, 3, 15),
+        (gen_23_rate21, 2, 2_028),
+        (gen_232, 2, 2_028),
+        (gen_fig1, 2, 53),
+        (gen_fig1, 3, 76),
+        (gen_fig1, 5, 140),
+    ],
+)
+def test_lookahead_pins_the_benchmark_searches(gen, q, blocks):
+    assert brute_force_scalar(gen(), q).enumerated == blocks
+
+
+def test_pruned_counts_the_states_the_lookahead_cuts():
+    assert brute_force_scalar(gen_222(), 2).pruned > 0
+    # routing has no lookahead, even where it exhausts
+    report = brute_force_routing(gen_fig1(), 1)
+    assert report.exhausted and report.pruned == 0
+
+
+BELOW_133 = [t for t in combinations_with_replacement((1, 2, 3), 3) if t[1] < 3 or t[2] < 3]
+
+
+@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("j", range(4))
+@pytest.mark.parametrize("triple", BELOW_133, ids=lambda t: "".join(map(str, t)))
+def test_sampled_triples_match_the_reference(triple, j, q):
+    _same_as_reference(sample_triple(j, triple), q, budget=12_000)
+
+
+LOOKAHEAD_CORNERS = {
+    # t1 forwards to t2 after its last in-edge
+    "terminal-relays": build_instance(
+        [("s1", "a"), ("s2", "a"), ("a", "t1"), ("s2", "t1"), ("s1", "t1"), ("t1", "t2"),
+         ("s1", "t2"), ("a", "t2")],
+        [("s1", "t1"), ("s2", "t2")],
+    ),
+    "terminal-without-in-edges": build_instance(
+        [("s1", "t1"), ("s2", "a"), ("t2", "a")], [("s1", "t1"), ("s2", "t2")]
+    ),
+    # once s2 has fired its last out-edge, only x, which holds nothing,
+    # still feeds the pending t1
+    "terminal-fed-by-an-empty-node": build_instance(
+        [("s2", "t1"), ("s1", "t2"), ("s2", "t2"), ("x", "t1")], [("s1", "t1"), ("s2", "t2")]
+    ),
+    # t1 decodes session 1 and is the source of session 2
+    "source-is-a-terminal": build_instance(
+        [("s1", "a"), ("a", "t1"), ("s1", "t1"), ("t1", "b"), ("a", "b"), ("b", "t2"),
+         ("t1", "t2")],
+        [("s1", "t1"), ("t1", "t2")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "q, T, routing", [(2, 1, False), (3, 1, False), (5, 1, False), (2, 1, True), (2, 2, True)]
+)
+@pytest.mark.parametrize("name", LOOKAHEAD_CORNERS)
+def test_lookahead_corners_match_the_reference(name, q, T, routing):
+    _same_as_reference(LOOKAHEAD_CORNERS[name], q, T, routing=routing)
 
 
 def test_routing_blocks_are_built_once_per_generator_count(monkeypatch):
