@@ -44,6 +44,12 @@ class Session:
             raise InstanceError("session source and terminal must differ")
 
 
+def _valid_name(name: str) -> bool:
+    """Non-empty, with no '#' and no whitespace: ``str.split`` breaks at
+    exactly the characters ``str.isspace`` accepts."""
+    return "#" not in name and name.split() == [name]
+
+
 @dataclass(frozen=True)
 class UnicastInstance:
     """Immutable DAG plus sessions.
@@ -66,7 +72,7 @@ class UnicastInstance:
         if len(set(self.names)) != n:
             raise InstanceError("duplicate node names")
         for name in self.names:
-            if not name or "#" in name or any(ch.isspace() for ch in name):
+            if not _valid_name(name):
                 raise InstanceError(f"invalid node name {name!r}")
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]

@@ -2,12 +2,15 @@
 
 Minimization removes every edge whose deletion keeps the connectivity
 vector intact, leaving an instance where each remaining edge is critical.
-It scans the edges once, in ascending id order, and keeps one unit flow per
-session sized to that session's target.  An edge no flow uses goes for
-free; an edge some flows use goes only if each of them, its unit through
-the edge cancelled, finds one augmenting path that avoids the edge and
-every edge already removed.  One pass suffices: max-flow only falls as
-edges go, so an edge that was critical when scanned stays critical.
+It augments one unit flow per session to its max-flow, then scans the
+edges once, in ascending id order.  An edge no flow uses goes for free; an
+edge some flows use goes only if each of them, its unit on the edge (u, v)
+dropped, finds a u -> v detour in its residual graph that avoids the edge
+and every edge already removed.  The detour exists exactly when a flow of
+the same value avoids those edges (the two flows differ by one u -> v unit
+plus circulations), so each decision depends on the graph alone.  One pass
+suffices: max-flow only falls as edges go, so an edge that was critical
+when scanned stays critical.
 
 Structuring replaces high-degree internal nodes by crossbar gadgets of
 merge/fork cells so that every internal node has total degree at most 3
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flows import _augment, connectivity_level
-from .graph import Path, Session, UnicastInstance, _fresh_name
+from .flows import _augment
+from .graph import Path, UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, verify_code
 
 
@@ -31,61 +34,44 @@ class MinimizeResult:
     edge_map: tuple[int, ...]         # new edge id -> original edge id
 
 
-def _reroute(
-    instance: UnicastInstance, caps: list[int], flow: list[int], eid: int, session: Session
-) -> bool:
-    """Move the unit of ``flow`` on ``eid`` elsewhere, if the graph allows.
-
-    Cancels the flow path through ``eid`` (source -> tail along flow edges,
-    then head -> terminal) and tries one augmentation over the edges whose
-    capacity is still 1; the caller has already zeroed ``eid``'s.  The flow
-    is then either as large as before and avoids ``eid`` (True), or one unit
-    short, which proves max-flow without ``eid`` below the old value (False).
-    """
-    edges, in_edges, out_edges = instance.edges, instance.in_edges, instance.out_edges
-    flow[eid] = 0
-    node = edges[eid][0]
-    while node != session.source:
-        a = next(a for a in in_edges[node] if flow[a])
-        flow[a] = 0
-        node = edges[a][0]
-    node = edges[eid][1]
-    while node != session.terminal:
-        a = next(a for a in out_edges[node] if flow[a])
-        flow[a] = 0
-        node = edges[a][1]
-    return _augment(
-        edges, out_edges, in_edges, caps, flow, session.source, session.terminal
-    ) > 0
-
-
-def _prune(instance: UnicastInstance, target: tuple[int, ...]) -> MinimizeResult:
+def _prune(
+    instance: UnicastInstance, target: tuple[int, ...] | None = None
+) -> MinimizeResult:
     """Drop edges in ascending id order while every session keeps max-flow
-    >= its target, which must not exceed the input's connectivity.
+    >= its target, which must not exceed the input's connectivity; with no
+    target, each session keeps its max-flow.
 
-    Each session holds a unit flow of exactly its target value, so an edge
-    no flow uses is removed without a search.
+    Each session holds a unit flow of exactly its target value, built by
+    augmenting until the target is met or no path remains, so with no target
+    one pass yields the max-flow and a flow of that value.  An edge no flow
+    uses is removed without a search.  Each flow that uses edge (u, v) drops
+    its unit there and flips the arcs of a u -> v path in its residual graph
+    over the edges still present.  A failed search changes nothing, so that
+    flow only gets its unit back.  Flows already moved stay moved: they keep
+    their value, and every decision depends on the graph alone (see
+    :func:`minimize`), not on which flow is held.
     """
     edges, out_edges, in_edges = instance.edges, instance.out_edges, instance.in_edges
-    sessions = instance.sessions
     caps = [1] * instance.n_edges  # 0 marks a removed edge
     flows: list[list[int]] = []
-    for s, want in zip(sessions, target):
+    for i, s in enumerate(instance.sessions):
         flow = [0] * instance.n_edges
-        for _ in range(want):
-            _augment(edges, out_edges, in_edges, caps, flow, s.source, s.terminal)
+        for _ in range(instance.n_edges if target is None else target[i]):
+            if not _augment(edges, out_edges, in_edges, caps, flow, s.source, s.terminal):
+                break
         flows.append(flow)
     removed: list[int] = []
-    for eid in range(instance.n_edges):
-        users = [i for i, flow in enumerate(flows) if flow[eid]]
-        saved = [flows[i][:] for i in users]
+    for eid, (u, v) in enumerate(edges):
         caps[eid] = 0
-        if all(_reroute(instance, caps, flows[i], eid, sessions[i]) for i in users):
-            removed.append(eid)
+        for flow in flows:
+            if not flow[eid]:
+                continue
+            flow[eid] = 0
+            if not _augment(edges, out_edges, in_edges, caps, flow, u, v):
+                flow[eid] = caps[eid] = 1
+                break
         else:
-            caps[eid] = 1
-            for i, flow in zip(users, saved):
-                flows[i] = flow
+            removed.append(eid)
     kept = [e for e in range(instance.n_edges) if caps[e]]
     final, _ = instance.keep_edges(kept)
     return MinimizeResult(final, tuple(removed), tuple(kept))
@@ -96,15 +82,20 @@ def minimize(instance: UnicastInstance) -> MinimizeResult:
 
     The connectivity vector of the result equals the input's exactly: edge
     removal can only lower a max-flow, so holding every component >= the
-    original level holds it equal.
+    original level holds it equal.  No separate max-flow runs: the pruning
+    flows are augmented to their maximum first.
 
     One ascending pass decides each edge with the question "does max-flow
     stay >= target without the edges removed so far and this one?", asked
-    incrementally of one flow per session.  A second pass would remove
-    nothing: the removed set only grows, so an edge critical when it was
-    scanned stays critical.
+    of one flow f per session: a flow f using edge e = (u, v) has a
+    same-value replacement avoiding e exactly when the residual graph of
+    f less e's unit, without e and the removed edges, has a u -> v path,
+    because the difference of the two flows is one unit from u to v plus
+    circulations.  The answer depends on the graph alone, not on the flow
+    held.  A second pass would remove nothing: the removed set only grows,
+    so an edge critical when it was scanned stays critical.
     """
-    return _prune(instance, connectivity_level(instance))
+    return _prune(instance)
 
 
 # -- degree-3 structuring ----------------------------------------------------

@@ -1,0 +1,71 @@
+"""Reference single-pass pruning: cancel a whole flow path, then re-augment.
+
+This is the earlier ``transform._prune``.  It first runs a separate max-flow
+per session for the target, keeps one unit flow per session of exactly that
+value, and for each edge some flow uses cancels the source-to-terminal flow
+path through the edge and searches for one augmenting path from the source
+that avoids the edge and every edge already removed.  ``transform`` now moves
+the unit along a tail-to-head detour instead and reads the max-flow off its
+own augmentation; both must give equal ``MinimizeResult``s.
+"""
+
+from __future__ import annotations
+
+from netcode_unicast.flows import _augment, connectivity_level
+from netcode_unicast.graph import Session, UnicastInstance
+from netcode_unicast.transform import MinimizeResult
+
+
+def _reroute(
+    instance: UnicastInstance, caps: list[int], flow: list[int], eid: int, session: Session
+) -> bool:
+    """Cancel the flow path through ``eid`` and try one augmentation over the
+    edges whose capacity is still 1; the caller has zeroed ``eid``'s."""
+    edges, in_edges, out_edges = instance.edges, instance.in_edges, instance.out_edges
+    flow[eid] = 0
+    node = edges[eid][0]
+    while node != session.source:
+        a = next(a for a in in_edges[node] if flow[a])
+        flow[a] = 0
+        node = edges[a][0]
+    node = edges[eid][1]
+    while node != session.terminal:
+        a = next(a for a in out_edges[node] if flow[a])
+        flow[a] = 0
+        node = edges[a][1]
+    return _augment(
+        edges, out_edges, in_edges, caps, flow, session.source, session.terminal
+    ) > 0
+
+
+def prune_reference(instance: UnicastInstance, target: tuple[int, ...]) -> MinimizeResult:
+    """Drop edges in ascending id order while every session keeps max-flow
+    >= its target, which must not exceed the input's connectivity."""
+    edges, out_edges, in_edges = instance.edges, instance.out_edges, instance.in_edges
+    sessions = instance.sessions
+    caps = [1] * instance.n_edges  # 0 marks a removed edge
+    flows: list[list[int]] = []
+    for s, want in zip(sessions, target):
+        flow = [0] * instance.n_edges
+        for _ in range(want):
+            _augment(edges, out_edges, in_edges, caps, flow, s.source, s.terminal)
+        flows.append(flow)
+    removed: list[int] = []
+    for eid in range(instance.n_edges):
+        users = [i for i, flow in enumerate(flows) if flow[eid]]
+        saved = [flows[i][:] for i in users]
+        caps[eid] = 0
+        if all(_reroute(instance, caps, flows[i], eid, sessions[i]) for i in users):
+            removed.append(eid)
+        else:
+            caps[eid] = 1
+            for i, flow in zip(users, saved):
+                flows[i] = flow
+    kept = [e for e in range(instance.n_edges) if caps[e]]
+    final, _ = instance.keep_edges(kept)
+    return MinimizeResult(final, tuple(removed), tuple(kept))
+
+
+def minimize_reference(instance: UnicastInstance) -> MinimizeResult:
+    """``prune_reference`` at the input's connectivity vector."""
+    return prune_reference(instance, connectivity_level(instance))

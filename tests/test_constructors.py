@@ -1,11 +1,13 @@
 """Constructive assignments: uniform routing, [1,m+1] chains, [1,3,3] layering."""
 
+import sys
 from itertools import permutations
 
 import construct_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from minimize_oracle import minimize_reference
 
 from netcode_unicast import constructors, netcode, transform
 from netcode_unicast.constructors import assign_1m, assign_133, route_uniform
@@ -516,6 +518,40 @@ def test_assign_133_plans_layers_that_meet_assign_1m_preconditions(monkeypatch):
         assert connectivity_level(layer) == (1, m + 1)
         assert internal_degree_ok(layer)
         assert minimize(layer).removed == ()
+
+
+def test_assign_133_minimizes_as_the_path_cancelling_reference(monkeypatch):
+    layers = []
+
+    def checked(instance):
+        result = minimize(instance)
+        assert result == minimize_reference(instance)
+        layers.append(instance)
+        return result
+
+    monkeypatch.setattr(constructors, "minimize", checked)
+    for inst in _bench_instances():
+        assign_133(inst)
+    assert len(layers) == 4 * 18
+
+
+def test_assign_133_runs_one_separate_max_flow(monkeypatch):
+    inst = sample_triple(3, (1, 3, 3))
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return connectivity_level(instance)
+
+    # every module's binding, so no call escapes the count
+    for module in [m for k, m in sys.modules.items() if k.startswith("netcode_unicast.")]:
+        if hasattr(module, "connectivity_level"):
+            monkeypatch.setattr(module, "connectivity_level", counted)
+    # minimize reads each max-flow off its own pruning flows
+    minimize(inst)
+    assert calls == []
+    assign_133(inst)
+    assert calls == [inst]
 
 
 def test_assign_133_realizes_and_verifies_once(monkeypatch):

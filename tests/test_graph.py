@@ -8,6 +8,7 @@ from netcode_unicast.graph import (
     Path,
     Session,
     UnicastInstance,
+    _valid_name,
     attach_endpoints,
     build_instance,
     expand_time,
@@ -202,3 +203,13 @@ def test_instance_structural_validation():
         UnicastInstance(("a b",), (), ())
     with pytest.raises(InstanceError, match="unknown node"):
         UnicastInstance(("a", "b"), ((0, 1),), (Session(0, 5),))
+
+
+def test_valid_name_agrees_with_a_per_character_check():
+    def per_character(name):
+        return bool(name) and "#" not in name and not any(ch.isspace() for ch in name)
+
+    names = ["a" + chr(c) + "b" for c in range(0x110000)]
+    names += ["", " ", "a ", " a", "\ta", "a\n", "\u3000a", "a\x85", "#", "a#"]
+    assert [_valid_name(n) for n in names] == [per_character(n) for n in names]
+    assert not all(_valid_name(n) for n in names)

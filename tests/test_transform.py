@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from minimize_oracle import minimize_reference, prune_reference
 
 from netcode_unicast import constructors
 from netcode_unicast.constructors import assign_133
@@ -60,10 +61,16 @@ def _prune_oracle(instance, target):
 
 
 def assert_matches_oracle(instance, target=None):
+    """Equal results from the detour pruning, the path-cancelling pruning it
+    replaced, and repeated-pass pruning."""
     if target is None:
-        assert minimize(instance) == _prune_oracle(instance, connectivity_level(instance))[0]
+        result = minimize(instance)
+        assert result == minimize_reference(instance)
+        assert result == _prune_oracle(instance, connectivity_level(instance))[0]
     else:
-        assert _prune(instance, target) == _prune_oracle(instance, target)[0]
+        result = _prune(instance, target)
+        assert result == prune_reference(instance, target)
+        assert result == _prune_oracle(instance, target)[0]
 
 
 def test_minimize_fixpoint_on_disjoint_paths():
@@ -403,6 +410,8 @@ def test_minimize_matches_oracle_on_sampled_suites(k):
     # one below max-flow in every session
     target = tuple(level - 1 for level in connectivity_level(inst))
     assert_matches_oracle(inst, target)
+    shaped = structure(inst).instance
+    assert minimize(shaped) == minimize_reference(shaped)
 
 
 @pytest.mark.parametrize(
@@ -415,6 +424,7 @@ def test_minimize_matches_oracle_inside_assign_133(seed, triple, monkeypatch):
     def checked(instance):
         result = minimize(instance)
         layers.append(instance)
+        assert result == minimize_reference(instance)
         assert result == _prune_oracle(instance, connectivity_level(instance))[0]
         return result
 
