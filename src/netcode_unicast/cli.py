@@ -140,12 +140,13 @@ def _pick_construction(inst: UnicastInstance, q: int) -> NetworkCode | int:
             print("RESULT: infeasible (violated cut)")
             _print_witness(inst, witness)
             return 1
+    # each constructor checks these levels instead of computing them again
     if len(set(levels)) == 1 and unit and n <= levels[0]:
-        return route_uniform(inst, q)
+        return route_uniform(inst, q, _levels=levels)
     if n == 2 and rates[0] == 1 and levels == (1, rates[1] + 1):
-        return assign_1m(inst, q)
+        return assign_1m(inst, q, _levels=levels)
     if n == 3 and unit and ranked[1] >= 3:
-        return assign_133(inst, q)
+        return assign_133(inst, q, _levels=levels)
     print(f"RESULT: no applicable construction for connectivity {_fmt_vec(levels)}")
     return 1
 

@@ -22,14 +22,14 @@ from .transform import internal_degree_ok, minimize, overlap_segments, structure
 __all__ = ["route_uniform", "assign_1m", "assign_133"]
 
 
-def route_uniform(instance: UnicastInstance, q: int = 2) -> NetworkCode:
+def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> NetworkCode:
     """Vector routing for uniform connectivity [n, ..., n].
 
     Session alpha owns time layer alpha and routes its n expanded symbols
     over n edge-disjoint paths inside that layer, so no edge ever mixes
     symbols.  Requires unit rates and at most n sessions.
     """
-    levels = connectivity_level(instance)
+    levels = _levels or connectivity_level(instance)
     n = levels[0]
     if any(v != n for v in levels):
         raise CodeError(f"uniform connectivity required, found {list(levels)}")
@@ -58,7 +58,7 @@ def route_uniform(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     return code
 
 
-def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
+def assign_1m(instance: UnicastInstance, q: int = 2, *, _levels=None) -> NetworkCode:
     """Scalar code for two sessions with rates {1, m}, connectivity [1, m+1].
 
     On a minimal structured instance the single path P1 of the rate-1
@@ -78,7 +78,7 @@ def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     if instance.sessions[0].rate != 1:
         raise CodeError("the first session must have rate 1")
     m = instance.sessions[1].rate
-    levels = connectivity_level(instance)
+    levels = _levels or connectivity_level(instance)
     if levels != (1, m + 1):
         raise CodeError(f"connectivity {list(levels)} does not match [1, {m + 1}]")
     if not internal_degree_ok(instance):
@@ -161,7 +161,7 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
     return plan
 
 
-def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
+def assign_133(instance: UnicastInstance, q: int = 2, *, _levels=None) -> NetworkCode:
     """T=2 code for three unit-rate sessions, sorted connectivity >= [1,3,3].
 
     The session with the smallest max-flow splits its two expanded symbols
@@ -177,7 +177,7 @@ def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
         raise CodeError("exactly three sessions required")
     if any(s.rate != 1 for s in instance.sessions):
         raise CodeError("unit session rates required")
-    levels = connectivity_level(instance)
+    levels = _levels or connectivity_level(instance)
     order = sorted(range(3), key=lambda i: (levels[i], i))
     ranked = tuple(levels[i] for i in order)
     if ranked[0] < 1 or ranked[1] < 3 or ranked[2] < 3:

@@ -5,20 +5,22 @@ edge in topological order, which is lexicographic order over the free
 coefficient blocks.  A memo of failed (position, state) pairs skips subtrees
 known to fail: the first hit is the lexicographically first code.
 
-The memo state.  In linear mode, whether the rest can be completed depends
-only on the span of the assigned in-edge vectors at each node still live (an
-out-edge or a terminal check to come): later out-edges draw from it and a
-check asks whether units lie in it (the subspace view of Koetter & Medard
-2003).  So the key holds one interned span id per live node.  Routing keeps
-the live vectors, since a one-hot rule copies a vector, not a span.
+The memo state.  Whether the rest can be completed depends only on the span
+of the assigned in-edge vectors at each node still live (an out-edge or a
+terminal check to come): later out-edges draw from it and a check asks
+whether units lie in it (the subspace view of Koetter & Medard 2003).  So
+the key holds one interned span id per live node.  It is exact in routing,
+where every vector is a unit or zero: a span of units holds exactly the
+units that span it, so it fixes the vectors a one-hot rule can copy.
 
-Lookahead (linear mode).  Every later edge carries a vector from its tail's
-span plus the units observed there, so all that a terminal t with in-edges
-to come can still receive lies in the join of its span with span(h) +
-units(h) over the live nodes h reaching t.  A state whose join misses a unit
-of t has no completion, and its key goes into the memo unentered: verdicts
-and first codes stay.  The join shrinks only when a node fires its last
-out-edge, so only then is it taken, for the terminals that node reaches.
+Lookahead.  Every later edge carries a vector from its tail's span plus the
+units observed there (a routed one copies one of them), so all that a
+terminal t with in-edges to come can still receive lies in the join of its
+span with span(h) + units(h) over the live nodes h reaching t.  A state
+whose join misses a unit of t has no completion, and its key goes into the
+memo unentered: verdicts and first codes stay.  The join shrinks only when a
+node fires its last out-edge, so only then is it taken, for the terminals
+that node reaches.
 
 Cost per block.  A node whose edge combines n generators (in-edge vectors
 and injected unit symbols) walks its q**n blocks with the last coefficient
@@ -68,9 +70,9 @@ DEFAULT_BUDGET = 1 << 36
 # before allocating anything
 MAX_SEARCH_FIELD_ORDER = 65537
 # set-up, lookahead included, takes time linear in the expanded edges times
-# the live nodes per position: fig1 at T=64 sits at this bound and sets up in
-# 2.8 ms (6.6 ms routing) on one Xeon core under Python 3.11, at T=256 in
-# 19-28 ms (0.09 s routing).  The search refuses more before expanding
+# the live nodes per position, the same in both modes: fig1 at T=64 sits at
+# this bound and sets up in 5 ms on one Xeon core under Python 3.11, at T=256
+# in 34-36 ms.  The search refuses more before expanding
 MAX_SEARCH_EDGES = 1024
 # largest q**L that gets add/scale tables.  Timed on whole sample_1m searches
 # (Python 3.11, one Xeon core, build counted), tables beat tuples 3.0-4.6x in
@@ -270,10 +272,10 @@ class SearchReport:
     """Outcome of one exhaustive search.
 
     ``enumerated`` counts the coefficient blocks tried, not those in
-    subtrees the memo or the lookahead skips; in linear mode its states are
-    spans, which skip more than exact vectors would.  ``pruned`` counts the
-    states the lookahead cut, 0 in routing mode.  ``exhausted`` true with no
-    code proves that no code of the searched class exists over GF(q) at T.
+    subtrees the memo or the lookahead skips; its states are spans, which
+    skip more than exact vectors would.  ``pruned`` counts the states the
+    lookahead cut.  ``exhausted`` true with no code proves that no code of
+    the searched class exists over GF(q) at T.
     """
 
     q: int
@@ -579,20 +581,16 @@ def _search(
     # one sweep: the key at position p reads, for each node h live there
     # (an in-edge assigned, until[h] >= p), the span id at its last in-edge
     # before p: by position, as a per-node record would keep a deeper
-    # branch's span after backtracking.  Routing reads the in-edge vectors;
-    # a linear search adds the lookahead where tails[p-1] fired its last out-edge
-    live: dict[int, list[int]] = {}
+    # branch's span after backtracking.  The lookahead is added where
+    # tails[p-1] fired its last out-edge
+    live: dict[int, int] = {}
     key_at = [_no_live]
     ahead_at: list[Callable | None] = [None] * (M + 1)
     for p, h in enumerate(heads, start=1):
-        if routing:
-            live.setdefault(h, []).append(order[p - 1])
-        else:
-            live[h] = [p - 1]
+        live[h] = p - 1
         live = {n: r for n, r in live.items() if until[n] >= p}
-        reads = [r for rs in live.values() for r in rs]
-        key_at.append(itemgetter(*reads) if reads else _no_live)
-        if routing or until[tails[p - 1]] >= p:
+        key_at.append(itemgetter(*live.values()) if live else _no_live)
+        if until[tails[p - 1]] >= p:
             continue
         terms = []
         for t, j in bit.items():
@@ -602,7 +600,7 @@ def _search(
                     if until[n] >= p and reach[n] & j:
                         for u in units:
                             base = rows[base][u]
-                reads = [r for n, (r,) in live.items() if n == t or reach[n] & j]
+                reads = [r for n, r in live.items() if n == t or reach[n] & j]
                 terms.append((reads, base, wanted[t]))
         if terms:
             ahead_at[p] = partial(_serves, rows, terms)
@@ -616,7 +614,6 @@ def _search(
     vecs = [arith.zero] * M
     # sids[i]: the span id of heads[i]'s in-edges up to i; sids[M] stays 0
     sids = [0] * (M + 1)
-    state = vecs if routing else sids
     chosen: list[tuple[int, ...]] = [()] * M
     memos: list[set] = [set() for _ in range(M + 1)]
     keys: list[object] = [None] * M
@@ -625,7 +622,7 @@ def _search(
     visit_rows: list[_Lazy | None] = [None] * M
     counter = pruned = 0
     i = -1
-    key = key_at[0](state)
+    key = key_at[0](sids)
     found = M == 0
     while not found:
         if key is not None:
@@ -658,7 +655,7 @@ def _search(
             if i + 1 == M:
                 found = True
                 break
-            key = key_next(state)
+            key = key_next(sids)
             if key not in memo_next:
                 if ahead is None or ahead(sids):
                     break

@@ -4,11 +4,10 @@ Kept unchanged as a reference for ``oracle._search``: blocks are built by
 recombining every generator with digit-loop arithmetic on packed vectors,
 each terminal check rebuilds a span from scratch, and the memo is keyed on
 the exact vectors of the live edges.  Slow, but simple enough to trust.  In
-routing mode the fast search keys its memo the same way and must agree on
-``enumerated``, ``exhausted`` and the returned code.  In linear mode it keys
-the memo on the span at each live node, a coarser key that merges states
-this one keeps apart, so it must agree on ``exhausted`` and the returned
-code and enumerate no more blocks.
+both modes the fast search keys its memo on the span at each live node, a
+coarser key that merges states this one keeps apart, and cuts states its
+lookahead shows cannot be completed, so it must agree on ``exhausted`` and
+the returned code and enumerate no more blocks.
 """
 
 from __future__ import annotations

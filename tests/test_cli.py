@@ -28,7 +28,7 @@ from netcode_unicast import (
     serialize_code,
     verify_code,
 )
-from netcode_unicast import constructors, netcode, oracle
+from netcode_unicast import constructors, flows, netcode, oracle
 from netcode_unicast.cli import main
 from netcode_unicast.netcode import TerminalReport
 from test_netcode import BUTTERFLY, BUTTERFLY_CODE
@@ -337,6 +337,24 @@ def test_code_checks_each_fact_once(tmp_path, monkeypatch):
     # minimize twice per layer, the constructor's one verify, and one span
     # solve per planned edge plus one per terminal symbol
     assert calls == {"minimize": 4, "verify_code": 1, "in_span": 63}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sample_uniform(0, 3), lambda: sample_1m(0, 2), lambda: sample_triple(3, (1, 3, 3))],
+    ids=["route_uniform", "assign_1m", "assign_133"],
+)
+def test_code_computes_the_connectivity_once(tmp_path, monkeypatch, make):
+    src = str(tmp_path / "i.txt")
+    inst = make()
+    save_instance(inst, src)
+    sessions = []
+    real = flows.max_flow
+    monkeypatch.setattr(flows, "max_flow", lambda x, k: sessions.append(k) or real(x, k))
+    rc, out, _ = run_cli("code", src, "-o", str(tmp_path / "i.code"))
+    assert rc == 0 and "RESULT: code q=2" in out
+    # the constructor checks the levels the command picked it by
+    assert sessions == list(range(len(inst.sessions)))
 
 
 @pytest.mark.parametrize(

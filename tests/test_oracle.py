@@ -30,7 +30,7 @@ from netcode_unicast.oracle import (
     gen_23_rate21,
     gen_fig1,
 )
-from netcode_unicast.sampling import sample_1m, sample_triple
+from netcode_unicast.sampling import sample_1m, sample_triple, sample_uniform
 
 BUTTERFLY = build_instance(
     [
@@ -336,16 +336,9 @@ def _finished(report):
 def _same_as_reference(instance, q, T=1, budget=oracle.DEFAULT_BUDGET, routing=False):
     got = oracle._search(instance, q, T, budget, routing)
     want = reference_search(instance, q, T, budget, routing)
-    if routing:
-        # routing keeps the exact memo key: the same walk, block for block
-        assert (got.enumerated, got.exhausted, got.code) == (
-            want.enumerated,
-            want.exhausted,
-            want.code,
-        )
-        return got
-    # the span key prunes only subtrees that fail: the same outcome in no
-    # more blocks, and a reference cut at budget + 1 blocks bounds the search
+    # in both modes the span key and the lookahead prune only subtrees that
+    # fail: the same outcome in no more blocks, and a reference cut at
+    # budget + 1 blocks bounds the search
     assert got.enumerated <= want.enumerated
     if _finished(got) and not _finished(want) and budget < AFFORDABLE:
         want = reference_search(instance, q, T, AFFORDABLE, routing)
@@ -442,9 +435,45 @@ def test_lookahead_pins_the_benchmark_searches(gen, q, blocks):
 
 def test_pruned_counts_the_states_the_lookahead_cuts():
     assert brute_force_scalar(gen_222(), 2).pruned > 0
-    # routing has no lookahead, even where it exhausts
+    # routing runs the same lookahead
     report = brute_force_routing(gen_fig1(), 1)
-    assert report.exhausted and report.pruned == 0
+    assert report.exhausted and report.pruned > 0
+
+
+# routing's exact counts under the span key and the lookahead.  The exact
+# vector key without a lookahead took 578, 61,752 and 1,868,832 blocks on
+# fig1 at T=1, sample_1m(1, 1) at T=2 and fig1 at T=2, and did not finish
+# the four proofs at T=2 within a million blocks
+@pytest.mark.parametrize(
+    "make, T, blocks, found",
+    [
+        (gen_fig1, 1, 129, False),
+        (gen_222, 1, 214, False),
+        (lambda: sample_1m(1, 1), 2, 104, True),
+        (gen_fig1, 2, 2_019, True),
+        (gen_222, 2, 39_704, False),
+        (gen_113, 2, 54, False),
+        (gen_23_rate21, 2, 28_682, False),
+        (gen_232, 2, 28_682, False),
+    ],
+    ids=["fig1-T1", "fig2a-T1", "sample_1m-m1-1-T2", "fig1-T2", "fig2a-T2", "fig2b-T2", "fig3-T2",
+         "cor232-T2"],
+)
+def test_routing_counts_are_pinned(make, T, blocks, found):
+    report = brute_force_routing(make(), T)
+    assert report.enumerated == blocks
+    assert (report.exhausted, report.code is not None) == (not found, found)
+
+
+@pytest.mark.parametrize(
+    "make, T",
+    [(lambda j=j: sample_1m(j, 1), T) for j in range(8) for T in (1, 2)]
+    + [(lambda j=j: sample_uniform(j, 2), 2) for j in range(4)],
+    ids=[f"sample_1m-m1-{j}-T{T}" for j in range(8) for T in (1, 2)]
+    + [f"sample_uniform-n2-{j}-T2" for j in range(4)],
+)
+def test_sampled_routing_searches_match_the_reference(make, T):
+    _same_as_reference(make(), 2, T, budget=12_000, routing=True)
 
 
 BELOW_133 = [t for t in combinations_with_replacement((1, 2, 3), 3) if t[1] < 3 or t[2] < 3]
@@ -477,6 +506,19 @@ LOOKAHEAD_CORNERS = {
         [("s1", "a"), ("a", "t1"), ("s1", "t1"), ("t1", "b"), ("a", "b"), ("b", "t2"),
          ("t1", "t2")],
         [("s1", "t1"), ("t1", "t2")],
+    ),
+    # a's two in-edges from s1 can carry the same unit, so a routing state
+    # holds one unit at a on two in-edges
+    "in-edges-with-the-same-unit": build_instance(
+        [("s1", "a"), ("s1", "a"), ("s2", "a"), ("a", "t1"), ("a", "b"), ("s2", "b"),
+         ("b", "t2"), ("b", "t1")],
+        [("s1", "t1"), ("s2", "t2")],
+    ),
+    # x holds nothing, so a's in-edge from x carries zero
+    "zero-in-edge": build_instance(
+        [("x", "a"), ("s1", "a"), ("a", "t1"), ("a", "t2"), ("s2", "t2"), ("s2", "a"),
+         ("x", "t1")],
+        [("s1", "t1"), ("s2", "t2")],
     ),
 }
 
