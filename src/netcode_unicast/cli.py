@@ -37,7 +37,10 @@ from .oracle import (
     brute_force_routing,
     brute_force_scalar,
     classify_triple,
+    gen_111,
+    gen_112,
     gen_113,
+    gen_122,
     gen_222,
     gen_232,
     gen_23_rate21,
@@ -54,6 +57,9 @@ GENERATORS = {
 }
 
 _WITNESS_GENERATORS = {
+    "gen_111": gen_111,
+    "gen_112": gen_112,
+    "gen_122": gen_122,
     "gen_222": gen_222,
     "gen_113": gen_113,
     "gen_232": gen_232,

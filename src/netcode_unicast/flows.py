@@ -1,18 +1,21 @@
 """Unit-capacity max-flow, disjoint path extraction, and cut-set bounds.
 
-Connectivity levels are per-session max-flow values.  Cut-set infeasibility
-witnesses are node sets S whose out-cut is too small for the total rate of
-the sessions it separates.  The reported witness is the first such set in a
-fixed enumeration order, so it is reproducible, yet it is found without
-enumerating: by max-flow/min-cut, one max-flow with some nodes forced in
-and others forced out tells whether any violating set respects that choice,
-and fixing the nodes one at a time picks out the first violating set.
+Every flow is 0/1 on the instance's own edges, grown by BFS augmenting
+paths from a set of sources to a set of sinks.  Connectivity levels are
+per-session max-flow values.  Cut-set infeasibility witnesses are node sets
+S whose out-cut is too small for the total rate of the sessions it
+separates.  The reported witness is the first such set in a fixed
+enumeration order, so it is reproducible, yet it is found without
+enumerating: by max-flow/min-cut, one flow from the nodes forced in to those
+forced out, stopped at the rate it tests, tells whether any violating set
+respects that choice, and fixing the nodes one at a time picks out the
+first violating set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Container, Sequence
 
 from .graph import InstanceError, Path, UnicastInstance
 
@@ -56,84 +59,73 @@ class CutWitness:
 
 
 def _augment(
-    arcs: Sequence[tuple[int, int]],
-    out_arcs: Sequence[Sequence[int]],
-    in_arcs: Sequence[Sequence[int]],
-    caps: Sequence[int],
+    instance: UnicastInstance,
     flow: list[int],
-    source: int,
-    sink: int,
-) -> int:
-    """One BFS augmentation of ``flow`` in place.
-
-    Returns the amount pushed, which is 0 exactly when ``flow`` is already
-    maximum.  An arc with capacity 0 is absent from the residual graph
-    unless it still carries flow.
+    present: Sequence[int],
+    sources: Collection[int],
+    sinks: Container[int],
+) -> bool:
+    """Push one unit of the 0/1 ``flow`` along a BFS path from ``sources``
+    to the first node of the disjoint ``sinks`` labelled; False, with
+    ``flow`` unchanged, when there is none.  An edge is a forward arc while
+    ``present`` and empty, a backward arc while it carries flow; each node
+    scans its out-edges, then its in-edges, by ascending id.
     """
-    parent: dict[int, tuple[int, int, int] | None] = {source: None}
-    queue = [source]
-    qi = 0
-    while qi < len(queue) and sink not in parent:
-        u = queue[qi]
-        qi += 1
-        for a in out_arcs[u]:
-            v = arcs[a][1]
-            if flow[a] < caps[a] and v not in parent:
-                parent[v] = (u, a, 1)
+    edges, out_edges, in_edges = instance.edges, instance.out_edges, instance.in_edges
+    parent = dict.fromkeys(sources)  # node -> edge e, or ~e for a backward arc
+    queue = list(parent)
+    for u in queue:
+        for e in out_edges[u]:
+            v = edges[e][1]
+            if present[e] and not flow[e] and v not in parent:
+                parent[v] = e
+                if v in sinks:
+                    return _flip(edges, flow, parent, v)
                 queue.append(v)
-        for a in in_arcs[u]:
-            v = arcs[a][0]
-            if flow[a] > 0 and v not in parent:
-                parent[v] = (u, a, -1)
+        for e in in_edges[u]:
+            v = edges[e][0]
+            if flow[e] and v not in parent:
+                parent[v] = ~e
+                if v in sinks:
+                    return _flip(edges, flow, parent, v)
                 queue.append(v)
-    if sink not in parent:
-        return 0
-    # walk back to find the bottleneck, then augment
-    bottleneck = None
-    node = sink
-    while parent[node] is not None:
-        u, a, direction = parent[node]
-        residual = caps[a] - flow[a] if direction > 0 else flow[a]
-        bottleneck = residual if bottleneck is None else min(bottleneck, residual)
-        node = u
-    assert bottleneck is not None and bottleneck > 0
-    node = sink
-    while parent[node] is not None:
-        u, a, direction = parent[node]
-        flow[a] += direction * bottleneck
-        node = u
-    return bottleneck
+    return False
 
 
-def _bfs_max_flow(
-    n_nodes: int,
-    arcs: Sequence[tuple[int, int]],
-    caps: Sequence[int],
-    source: int,
-    sink: int,
+def _flip(
+    edges: Sequence[tuple[int, int]], flow: list[int], parent: dict, node: int
+) -> bool:
+    """Push one unit along the labelled path that ends at ``node``."""
+    while (e := parent[node]) is not None:
+        if e >= 0:
+            flow[e] = 1
+            node = edges[e][0]
+        else:
+            flow[~e] = 0
+            node = edges[~e][1]
+    return True
+
+
+def _unit_flow(
+    instance: UnicastInstance,
+    sources: Collection[int],
+    sinks: Container[int],
+    limit: int | None = None,
 ) -> tuple[int, list[int]]:
-    """Augmenting-path max-flow; returns (value, per-arc flow)."""
-    out_arcs: list[list[int]] = [[] for _ in range(n_nodes)]
-    in_arcs: list[list[int]] = [[] for _ in range(n_nodes)]
-    for a, (u, v) in enumerate(arcs):
-        out_arcs[u].append(a)
-        in_arcs[v].append(a)
-    flow = [0] * len(arcs)
+    """A maximum unit flow from ``sources`` to ``sinks``, or one of value
+    ``limit`` if that is smaller; returns (value, per-edge flow)."""
+    flow = [0] * instance.n_edges
+    present = [1] * instance.n_edges
     value = 0
-    while True:
-        pushed = _augment(arcs, out_arcs, in_arcs, caps, flow, source, sink)
-        if not pushed:
-            return value, flow
-        value += pushed
+    while value != limit and _augment(instance, flow, present, sources, sinks):
+        value += 1
+    return value, flow
 
 
 def max_flow(instance: UnicastInstance, session: int) -> int:
     """Maximum s_i -> t_i flow with every edge at capacity one."""
     s = instance.sessions[session]
-    value, _ = _bfs_max_flow(
-        instance.n_nodes, instance.edges, [1] * instance.n_edges, s.source, s.terminal
-    )
-    return value
+    return _unit_flow(instance, (s.source,), (s.terminal,))[0]
 
 
 def connectivity_level(instance: UnicastInstance) -> ConnectivityVector:
@@ -150,9 +142,7 @@ def edge_disjoint_paths(
     unused flow edge, so the result is deterministic.
     """
     s = instance.sessions[session]
-    value, flow = _bfs_max_flow(
-        instance.n_nodes, instance.edges, [1] * instance.n_edges, s.source, s.terminal
-    )
+    value, flow = _unit_flow(instance, (s.source,), (s.terminal,))
     if k is None:
         k = value
     if k > value:
@@ -171,22 +161,16 @@ def edge_disjoint_paths(
 
 
 def _min_cut(
-    instance: UnicastInstance, sources: set[int], terminals: set[int]
+    instance: UnicastInstance, sources: set[int], terminals: set[int], limit: int
 ) -> int:
     """Smallest out-cut capacity over node sets containing ``sources`` and
-    excluding ``terminals`` (super-source/super-sink max-flow)."""
-    n = instance.n_nodes
-    super_s, super_t = n, n + 1
-    arcs = list(instance.edges)
-    caps = [1] * len(arcs)
-    big = instance.n_edges + 1
-    for v in sorted(sources):
-        arcs.append((super_s, v))
-        caps.append(big)
-    for v in sorted(terminals):
-        arcs.append((v, super_t))
-        caps.append(big)
-    return _bfs_max_flow(n + 2, arcs, caps, super_s, super_t)[0]
+    excluding ``terminals``, or ``limit`` if that is smaller.
+
+    By max-flow/min-cut this is the value of a maximum unit flow from the
+    source set to the terminal set.  Augmenting stops once the value reaches
+    ``limit``: the caller asks only whether the cut lies below it.
+    """
+    return _unit_flow(instance, sources, terminals, limit)[0]
 
 
 def _session_subsets(n: int):
@@ -203,9 +187,9 @@ def cutset_infeasible(instance: UnicastInstance) -> CutWitness | None:
     violating S in binary-counter order over the free nodes (ascending id,
     sources forced in, terminals out): the highest free node is the most
     significant bit, so from the highest down each node goes outside S
-    whenever some violating set with it outside remains.  One max-flow
-    answers each such question, so the witness costs at most one max-flow
-    per free node on top of one per session subset.
+    whenever some violating set with it outside remains.  One flow, stopped
+    at the subset's rate, answers each such question, so the witness costs
+    at most one per free node on top of one per session subset.
     """
     for subset in _session_subsets(len(instance.sessions)):
         inside = {instance.sessions[i].source for i in subset}
@@ -213,12 +197,12 @@ def cutset_infeasible(instance: UnicastInstance) -> CutWitness | None:
         if inside & outside:
             continue
         required = sum(instance.sessions[i].rate for i in subset)
-        if _min_cut(instance, inside, outside) >= required:
+        if _min_cut(instance, inside, outside, required) >= required:
             continue
         for node in reversed(range(instance.n_nodes)):
             if node in inside or node in outside:
                 continue
-            if _min_cut(instance, inside, outside | {node}) < required:
+            if _min_cut(instance, inside, outside | {node}, required) < required:
                 outside.add(node)
             else:
                 inside.add(node)

@@ -106,6 +106,9 @@ class Verdict:
 
 
 _WITNESSES = {
+    (1, 1, 1): "gen_111",
+    (1, 1, 2): "gen_112",
+    (1, 2, 2): "gen_122",
     (2, 2, 2): "gen_222",
     (1, 1, 3): "gen_113",
     (2, 2, 3): "gen_232",
@@ -161,6 +164,40 @@ def gen_222() -> UnicastInstance:
         ],
         [("s1", "t1"), ("s2", "t2"), ("s3", "t3")],
     )
+
+
+def _gen_222_without(*dropped: int) -> UnicastInstance:
+    # deleting edges keeps every violated cut violated
+    base = gen_222()
+    return base.keep_edges(e for e in range(base.n_edges) if e not in dropped)[0]
+
+
+def gen_111() -> UnicastInstance:
+    """Connectivity [1,1,1]: :func:`gen_222` without v1 -> a (edge 6).
+
+    Every path now runs through v2 -> b, so sessions 1 and 2 alone meet a
+    cut of capacity 1 against demand 2.
+    """
+    return _gen_222_without(6)
+
+
+def gen_112() -> UnicastInstance:
+    """Connectivity [1,1,2]: :func:`gen_222` without s1 -> v1 and s2 -> v1
+    (edges 0 and 1).
+
+    Sessions 1 and 2 leave their sources only towards v2, so {s1, s2, v2}
+    has the single out-edge v2 -> b: capacity 1 against demand 2.
+    """
+    return _gen_222_without(0, 1)
+
+
+def gen_122() -> UnicastInstance:
+    """Connectivity [1,2,2]: :func:`gen_222` without s1 -> v1 (edge 0).
+
+    The three sessions still share the two middle edges: capacity 2
+    against demand 3.
+    """
+    return _gen_222_without(0)
 
 
 def gen_113() -> UnicastInstance:

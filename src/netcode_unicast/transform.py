@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flows import _augment
+from .flows import _augment, _unit_flow
 from .graph import Path, UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, verify_code
 
@@ -51,23 +51,20 @@ def _prune(
     their value, and every decision depends on the graph alone (see
     :func:`minimize`), not on which flow is held.
     """
-    edges, out_edges, in_edges = instance.edges, instance.out_edges, instance.in_edges
     caps = [1] * instance.n_edges  # 0 marks a removed edge
-    flows: list[list[int]] = []
-    for i, s in enumerate(instance.sessions):
-        flow = [0] * instance.n_edges
-        for _ in range(instance.n_edges if target is None else target[i]):
-            if not _augment(edges, out_edges, in_edges, caps, flow, s.source, s.terminal):
-                break
-        flows.append(flow)
+    limits = [None] * len(instance.sessions) if target is None else target
+    flows = [
+        _unit_flow(instance, (s.source,), (s.terminal,), limit)[1]
+        for s, limit in zip(instance.sessions, limits)
+    ]
     removed: list[int] = []
-    for eid, (u, v) in enumerate(edges):
+    for eid, (u, v) in enumerate(instance.edges):
         caps[eid] = 0
         for flow in flows:
             if not flow[eid]:
                 continue
             flow[eid] = 0
-            if not _augment(edges, out_edges, in_edges, caps, flow, u, v):
+            if not _augment(instance, flow, caps, (u,), (v,)):
                 flow[eid] = caps[eid] = 1
                 break
         else:

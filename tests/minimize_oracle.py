@@ -11,7 +11,9 @@ own augmentation; both must give equal ``MinimizeResult``s.
 
 from __future__ import annotations
 
-from netcode_unicast.flows import _augment, connectivity_level
+from flow_oracle import _augment
+
+from netcode_unicast.flows import connectivity_level
 from netcode_unicast.graph import Session, UnicastInstance
 from netcode_unicast.transform import MinimizeResult
 

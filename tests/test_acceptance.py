@@ -11,6 +11,7 @@ import random
 import time
 from itertools import product
 
+import pytest
 from cut_oracle import cutset_infeasible_exhaustive
 from simulate_oracle import simulate
 
@@ -24,7 +25,10 @@ from netcode_unicast import (
     connectivity_level,
     cutset_infeasible,
     edge_disjoint_paths,
+    gen_111,
+    gen_112,
     gen_113,
+    gen_122,
     gen_222,
     gen_232,
     gen_23_rate21,
@@ -100,6 +104,32 @@ def test_criterion_3_oracle_confirms_infeasibility():
     assert searched == 8
     assert elapsed < 600.0
     print(f"criterion 3: pass (8 searches exhausted in {elapsed:.2f}s)")
+
+
+@pytest.mark.parametrize(
+    "make, triple, capacity, rate",
+    [(gen_111, (1, 1, 1), 1, 2), (gen_112, (1, 1, 2), 1, 2), (gen_122, (1, 2, 2), 2, 3)],
+    ids=["111", "112", "122"],
+)
+def test_criterion_3_edge_deleted_witnesses(make, triple, capacity, rate):
+    """``gen_222`` with edges deleted is the classify witness for a lower
+    triple: its connectivity is that triple, its first violated cut is the
+    exhaustive oracle's, and scalar search over GF(2) and GF(3) exhausts
+    with no code; <1min."""
+    start = time.perf_counter()
+    inst = make()
+    assert classify_triple(triple).witness == make.__name__
+    assert connectivity_level(inst) == triple
+    w = cutset_infeasible(inst)
+    assert w is not None and w == cutset_infeasible_exhaustive(inst)
+    w.validate(inst)
+    assert (w.capacity, w.required_rate) == (capacity, rate)
+    for q in (2, 3):
+        report = brute_force_scalar(inst, q)
+        assert report.exhausted and report.code is None, q
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0
+    print(f"criterion 3: pass ({make.__name__} exhausted in {elapsed:.2f}s)")
 
 
 def test_criterion_4_fig1_triple_property():

@@ -603,9 +603,22 @@ def test_classify_infeasible_with_witness_file(tmp_path):
     assert connectivity_level(load_instance(path)) == (2, 2, 2)
 
 
+@pytest.mark.parametrize("triple", ["111", "211", "221"])
+def test_classify_writes_edge_deleted_witnesses(tmp_path, triple):
+    path = str(tmp_path / "w.txt")
+    rc, out, _ = run_cli("classify", *triple, "--emit-witness", "-o", path)
+    name = "gen_" + "".join(sorted(triple))
+    assert (rc, out.splitlines()) == (
+        1,
+        [f"RESULT: triple [{','.join(triple)}] infeasible witness {name}",
+         f"WITNESS: {name} written {path}"],
+    )
+    assert sorted(connectivity_level(load_instance(path))) == sorted(map(int, triple))
+
+
 def test_classify_characterization_only_writes_nothing(tmp_path):
     path = tmp_path / "w.txt"
-    rc, out, _ = run_cli("classify", "1", "1", "2", "--emit-witness", "-o", str(path))
+    rc, out, _ = run_cli("classify", "1", "2", "3", "--emit-witness", "-o", str(path))
     assert rc == 1
     assert "witness characterization-only" in out
     assert "WITNESS: none (characterization-only)" in out

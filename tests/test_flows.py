@@ -1,6 +1,7 @@
 """Max-flow, path decomposition, and cut enumeration."""
 
 import pytest
+import flow_oracle
 from cut_oracle import cutset_infeasible_exhaustive
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,13 +202,13 @@ def test_deep_first_witness_costs_one_max_flow_per_node(monkeypatch):
     inst = build_instance(edges, [("s1", "t1", 2), ("s2", "t2")])
     assert inst.n_nodes - 2 == 24  # session 1's free nodes: inside the oracle's guard
     calls = []
-    real = flows._bfs_max_flow
+    real = flows._unit_flow
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(flows, "_bfs_max_flow", counted)
+    monkeypatch.setattr(flows, "_unit_flow", counted)
     w = cutset_infeasible(inst)
     assert w == CutWitness(
         sessions=(0,),
@@ -217,6 +218,29 @@ def test_deep_first_witness_costs_one_max_flow_per_node(monkeypatch):
         required_rate=2,
     )
     assert len(calls) <= (2 ** len(inst.sessions) - 1) + inst.n_nodes
+
+
+def test_clean_subsets_stop_at_their_rate(monkeypatch):
+    # no cut is violated, so each session subset's question ends after
+    # exactly its rate in augmentations, none failing: s1 has 3 paths for
+    # rate 2 and s2 has 2 for rate 1, which a full max-flow would exhaust
+    inst = build_instance(
+        [("s1", "a"), ("s1", "a"), ("s1", "t1"), ("a", "t1"), ("a", "t1"),
+         ("s2", "b"), ("s2", "t2"), ("b", "t2"), ("a", "b")],
+        [("s1", "t1", 2), ("s2", "t2")],
+    )
+    assert connectivity_level(inst) == (3, 2)
+    outcomes = []
+    real = flows._augment
+
+    def counted(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(flows, "_augment", counted)
+    assert cutset_infeasible(inst) is None
+    # subsets {1}, {2} and {1, 2} need rates 2, 1 and 3
+    assert outcomes == [True] * (2 + 1 + 3)
 
 
 # -- randomized agreement with independent oracles --------------------------
@@ -286,3 +310,21 @@ def test_cut_enumeration_agreement(inst):
         # any valid S also cuts each separated session's own flow, so its
         # capacity is bounded below by every such session's max-flow
         assert fast.capacity >= max(max_flow(inst, i) for i in fast.sessions)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(random_dag_instance(), st.data())
+def test_unit_kernel_matches_the_general_capacity_oracle(inst, data):
+    for s in inst.sessions:
+        want = flow_oracle._bfs_max_flow(
+            inst.n_nodes, inst.edges, [1] * inst.n_edges, s.source, s.terminal
+        )
+        assert flows._unit_flow(inst, (s.source,), (s.terminal,)) == want
+    # each node free, forced in or forced out of the cut
+    roles = data.draw(st.lists(st.sampled_from("fio"), min_size=inst.n_nodes,
+                               max_size=inst.n_nodes))
+    sources = {v for v, r in enumerate(roles) if r == "i"}
+    terminals = {v for v, r in enumerate(roles) if r == "o"}
+    value = flow_oracle._min_cut(inst, sources, terminals)
+    for limit in range(inst.n_edges + 2):
+        assert flows._min_cut(inst, sources, terminals, limit) == min(value, limit)

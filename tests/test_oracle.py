@@ -333,14 +333,16 @@ def _finished(report):
     return report.exhausted or report.code is not None
 
 
-def _same_as_reference(instance, q, T=1, budget=oracle.DEFAULT_BUDGET, routing=False):
+def _same_as_reference(
+    instance, q, T=1, budget=oracle.DEFAULT_BUDGET, routing=False, rerun=True
+):
     got = oracle._search(instance, q, T, budget, routing)
     want = reference_search(instance, q, T, budget, routing)
     # in both modes the span key and the lookahead prune only subtrees that
     # fail: the same outcome in no more blocks, and a reference cut at
     # budget + 1 blocks bounds the search
     assert got.enumerated <= want.enumerated
-    if _finished(got) and not _finished(want) and budget < AFFORDABLE:
+    if rerun and _finished(got) and not _finished(want) and budget < AFFORDABLE:
         want = reference_search(instance, q, T, AFFORDABLE, routing)
     if _finished(want):
         assert (got.exhausted, got.code) == (want.exhausted, want.code)
@@ -479,11 +481,22 @@ def test_sampled_routing_searches_match_the_reference(make, T):
 BELOW_133 = [t for t in combinations_with_replacement((1, 2, 3), 3) if t[1] < 3 or t[2] < 3]
 
 
+# (triple, j, q) where the reference does not finish at AFFORDABLE either:
+# each rerun stopped at 1,000,001 blocks, while the fast search found a code
+# in 545, 138 and 531 blocks.  The rerun is skipped and the code verified.
+REFERENCE_UNFINISHED = {((2, 2, 2), 1, 3), ((2, 2, 3), 1, 3), ((2, 2, 3), 3, 3)}
+
+
 @pytest.mark.parametrize("q", (2, 3))
 @pytest.mark.parametrize("j", range(4))
 @pytest.mark.parametrize("triple", BELOW_133, ids=lambda t: "".join(map(str, t)))
 def test_sampled_triples_match_the_reference(triple, j, q):
-    _same_as_reference(sample_triple(j, triple), q, budget=12_000)
+    instance = sample_triple(j, triple)
+    if (triple, j, q) not in REFERENCE_UNFINISHED:
+        _same_as_reference(instance, q, budget=12_000)
+        return
+    got = _same_as_reference(instance, q, budget=12_000, rerun=False)
+    assert got.code is not None and verify_code(instance, got.code).all_pass
 
 
 LOOKAHEAD_CORNERS = {
