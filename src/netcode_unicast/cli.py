@@ -92,7 +92,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         src, dst = inst.names[s.source], inst.names[s.terminal]
         print(f"session {i + 1}: {src} -> {dst} rate {s.rate} flow {levels[i]}")
     print(f"RESULT: connectivity {_fmt_vec(levels)}")
-    witness = cutset_infeasible(inst)
+    witness = cutset_infeasible(inst, _levels=levels)
     if witness is not None:
         _print_witness(inst, witness)
         return 1
@@ -141,7 +141,7 @@ def _pick_construction(inst: UnicastInstance, q: int) -> NetworkCode | int:
     if any(k < r for k, r in zip(levels, rates)) or (
         n == 3 and unit and ranked[1] < 3 and ranked[2] <= 3
     ):
-        witness = cutset_infeasible(inst)
+        witness = cutset_infeasible(inst, _levels=levels)
         if witness is not None:
             print("RESULT: infeasible (violated cut)")
             _print_witness(inst, witness)

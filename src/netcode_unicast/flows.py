@@ -106,6 +106,58 @@ def _flip(
     return True
 
 
+def _residual_components(instance: UnicastInstance, flow: Sequence[int]) -> list[int]:
+    """Strongly-connected-component id of every node in the residual graph
+    of the 0/1 ``flow`` over all edges, by an iterative Tarjan.
+
+    The arcs are those :func:`_augment` follows: u -> v on an empty edge
+    (u, v), v -> u on a flow edge.  A flow edge (u, v) thus has a u -> v
+    detour, its own unit dropped, exactly when u and v share a component.
+    """
+    n = instance.n_nodes
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(instance.edges):
+        if flow[e]:
+            succ[v].append(u)
+        else:
+            succ[u].append(v)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # -1 while a visited node is still on the stack
+    stack: list[int] = []
+    count = n_comps = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            u, arcs = work[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[u]:
+                    low[u] = index[w]
+            else:
+                work.pop()
+                if work and low[u] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[u]
+                if low[u] == index[u]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == u:
+                            break
+                    n_comps += 1
+    return comp
+
+
 def _unit_flow(
     instance: UnicastInstance,
     sources: Collection[int],
@@ -178,7 +230,9 @@ def _session_subsets(n: int):
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 
-def cutset_infeasible(instance: UnicastInstance) -> CutWitness | None:
+def cutset_infeasible(
+    instance: UnicastInstance, *, _levels: ConnectivityVector | None = None
+) -> CutWitness | None:
     """First cut-set bound violation in deterministic enumeration order.
 
     Session subsets are taken in binary-counter order (session 0 = low bit);
@@ -190,6 +244,9 @@ def cutset_infeasible(instance: UnicastInstance) -> CutWitness | None:
     whenever some violating set with it outside remains.  One flow, stopped
     at the subset's rate, answers each such question, so the witness costs
     at most one per free node on top of one per session subset.
+
+    A caller holding the connectivity vector passes it as ``_levels``; a
+    one-session subset whose max-flow meets its rate then needs no flow.
     """
     for subset in _session_subsets(len(instance.sessions)):
         inside = {instance.sessions[i].source for i in subset}
@@ -197,6 +254,8 @@ def cutset_infeasible(instance: UnicastInstance) -> CutWitness | None:
         if inside & outside:
             continue
         required = sum(instance.sessions[i].rate for i in subset)
+        if _levels is not None and len(subset) == 1 and _levels[subset[0]] >= required:
+            continue
         if _min_cut(instance, inside, outside, required) >= required:
             continue
         for node in reversed(range(instance.n_nodes)):

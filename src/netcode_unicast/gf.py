@@ -3,8 +3,11 @@
 Everything here works over GF(q) for a prime q.  Vectors are plain tuples of
 ints in ``range(q)``; keeping them hashable matters because the search code
 uses them as memo keys.  Matrices are short lists of such tuples, so the
-elimination routine below is written directly instead of pulling in a
-numerics dependency.
+one elimination routine, :func:`_reduce`, is written directly instead of
+pulling in a numerics dependency.  It reduces one row against an echelon
+basis: ``in_span`` builds its basis from the rows in order and reads the
+target's coefficients off the combinations the basis rows carry, and the
+search keeps each span as the reduced row echelon basis it builds with it.
 """
 
 from __future__ import annotations
@@ -92,65 +95,57 @@ class PrimeField:
         return tuple(acc)
 
 
-def _eliminate(mat: list[list[int]], n_cols: int, q: int) -> list[int]:
-    """Row-reduce ``mat`` in place over its first ``n_cols`` columns.
+def _reduce(
+    row: list[int], basis: Iterable[tuple[int, Sequence[int]]], n_cols: int, q: int
+) -> int:
+    """Clear every basis pivot from ``row`` in place, then scale ``row`` so
+    its first nonzero entry among the first ``n_cols`` is 1.
 
-    Entries must already lie in ``range(q)``.  Pivoting is deterministic:
-    rows are processed in order, pivot columns scanned left to right, so
-    identical input always gives identical output.  Returns the pivot
-    column of each leading row (row k pivots in column ``pivots[k]``); the
-    rows below them are zero in the first ``n_cols`` columns.
+    ``basis`` holds (pivot, b) pairs: b is 1 in column pivot and 0 in the
+    pivot columns of the pairs before it, so one pass in order clears them
+    all.  Entries must lie in ``range(q)``.  Returns the column of the
+    leading 1, or -1 when ``row`` is zero in its first ``n_cols`` columns.
     """
-    pivots: list[int] = []
-    n_rows = len(mat)
+    for col, b in basis:
+        c = row[col]
+        if c:
+            row[:] = [(x - c * y) % q for x, y in zip(row, b)]
     for col in range(n_cols):
-        row = len(pivots)
-        for sel in range(row, n_rows):
-            if mat[sel][col]:
-                break
-        else:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = pow(mat[row][col], -1, q)
-        pivot = mat[row] = [(x * inv) % q for x in mat[row]]
-        for r in range(n_rows):
-            c = mat[r][col]
-            if c and r != row:
-                mat[r] = [(a - c * b) % q for a, b in zip(mat[r], pivot)]
-        pivots.append(col)
-        if len(pivots) == n_rows:
-            break
-    return pivots
+        if row[col]:
+            if row[col] != 1:
+                inv = pow(row[col], -1, q)
+                row[:] = [(x * inv) % q for x in row]
+            return col
+    return -1
 
 
 def in_span(target: Vector, rows: Sequence[Vector], q: int) -> Vector | None:
     """Express ``target`` as a combination of ``rows`` over GF(q).
 
-    Returns the coefficient tuple (one entry per row) of the deterministic
-    least-squares-free solution found by Gaussian elimination, or None when
-    ``target`` is outside the span.  Free coefficients are set to zero, so
-    the answer is unique given the row order.
+    Returns the coefficient tuple (one entry per row), or None when
+    ``target`` is outside the span.  The rows are reduced in order into an
+    echelon basis; each basis row carries, after the n columns of the
+    vector, the combination of input rows it stands for.  A row that
+    reduces to zero depends on those before it and keeps coefficient 0, so
+    the answer is the unique expression of ``target`` in the rows
+    independent of their predecessors.
     """
-    n = len(target)
-    if any(len(r) != n for r in rows):
-        raise ValueError("vector length mismatch")
-    if not any(x % q for x in target):
-        return (0,) * len(rows)
-    if not rows:
+    n, m = len(target), len(rows)
+    basis: list[tuple[int, list[int]]] = []
+    for j, r in enumerate(rows):
+        if len(r) != n:
+            raise ValueError("vector length mismatch")
+        row = [x % q for x in r] + [0] * m
+        row[n + j] = 1
+        col = _reduce(row, basis, n, q)
+        if col >= 0:
+            basis.append((col, row))
+    want = [x % q for x in target]
+    # target - sum(c_k * b_k) leaves -sum(c_k * tag_k) in the tag columns
+    rest = want + [0] * m
+    if _reduce(rest, basis, n, q) >= 0:
         return None
-    # Solve rows^T x = target by eliminating the augmented transpose.
-    m = len(rows)
-    aug = [[rows[r][c] % q for r in range(m)] + [target[c] % q] for c in range(n)]
-    field = PrimeField(q)
-    pivots = _eliminate(aug, m, q)
-    # Inconsistent if a row left zero in every coefficient column has nonzero rhs.
-    if any(aug[r][m] for r in range(len(pivots), n)):
+    coeffs = tuple([-c % q for c in rest[n:]])
+    if PrimeField(q).vec_combine(coeffs, rows, n) != tuple(want):
         return None
-    coeffs = [0] * m
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][m]
-    # Consistency can still fail when non-pivot structure absorbs nothing.
-    combined = field.vec_combine(coeffs, rows, n)
-    if combined != tuple(x % q for x in target):
-        return None
-    return tuple(coeffs)
+    return coeffs

@@ -35,7 +35,7 @@ q = 2 they are bitmasks and adding is XOR.  For q >= 3, while the q**L
 vectors number at most ``TABLE_VECTORS`` they are packed base-q integers and
 every sum and multiple is read from tables built once per search.  Above
 that no table fits (q = 65537 has 65537**L vectors): vectors are tuples and
-spans are reduced by ``gf._eliminate``.
+spans are reduced row echelon bases, extended by ``gf._reduce``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .gf import PrimeField, Vector, _eliminate
+from .gf import PrimeField, Vector, _reduce
 from .graph import Session, UnicastInstance, build_instance, expand_time
 from .netcode import CodeError, LocalRule, NetworkCode, verify_code
 
@@ -420,7 +420,8 @@ class _Tables:
 
 class _Tuples:
     """GF(q) vectors as tuples, for fields whose q**L vectors no table holds.
-    A span is its reduced row echelon basis, as ``gf._eliminate`` leaves it."""
+    A span is its reduced row echelon basis, which is canonical: rows by
+    ascending pivot, each led by a 1 and zero in the other pivot columns."""
 
     zero_span: tuple[Vector, ...] = ()
 
@@ -440,9 +441,20 @@ class _Tuples:
         return partial(self.field.vec_add, g)
 
     def extend(self, basis: tuple[Vector, ...], v: Vector) -> tuple[Vector, ...]:
-        rows = [list(b) for b in basis] + [list(v)]
-        rank = len(_eliminate(rows, self.n_symbols, self.q))
-        return tuple(tuple(r) for r in rows[:rank])
+        q = self.q
+        pivoted = [(b.index(1), b) for b in basis]  # zeros, then the leading 1
+        row = list(v)
+        col = _reduce(row, pivoted, self.n_symbols, q)
+        if col < 0:
+            return basis
+        # clear the new pivot from the old rows, which keeps theirs
+        rows = [
+            (p, tuple((x - b[col] * y) % q for x, y in zip(b, row)) if b[col] else b)
+            for p, b in pivoted
+        ]
+        rows.append((col, tuple(row)))
+        rows.sort()
+        return tuple(b for _, b in rows)
 
 
 def _arithmetic(q: int, n_symbols: int) -> _Xor | _Tables | _Tuples:

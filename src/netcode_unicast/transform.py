@@ -10,7 +10,10 @@ and every edge already removed.  The detour exists exactly when a flow of
 the same value avoids those edges (the two flows differ by one u -> v unit
 plus circulations), so each decision depends on the graph alone.  One pass
 suffices: max-flow only falls as edges go, so an edge that was critical
-when scanned stays critical.
+when scanned stays critical.  For the same reason an edge critical before
+any removal is kept without a search: one strongly-connected-component
+pass over each flow's residual graph finds every flow edge whose endpoints
+no detour joins.
 
 Structuring replaces high-degree internal nodes by crossbar gadgets of
 merge/fork cells so that every internal node has total degree at most 3
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flows import _augment, _unit_flow
+from .flows import _augment, _residual_components, _unit_flow
 from .graph import Path, UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, verify_code
 
@@ -34,6 +37,19 @@ class MinimizeResult:
     edge_map: tuple[int, ...]         # new edge id -> original edge id
 
 
+def _critical_edges(instance: UnicastInstance, flows: list[list[int]]) -> list[int]:
+    """1 on every edge some flow uses with no tail-to-head detour in its
+    residual graph over all edges: its endpoints lie in different residual
+    components.  No flow of the same value avoids such an edge."""
+    critical = [0] * instance.n_edges
+    for flow in flows:
+        comp = _residual_components(instance, flow)
+        for eid, (u, v) in enumerate(instance.edges):
+            if flow[eid] and comp[u] != comp[v]:
+                critical[eid] = 1
+    return critical
+
+
 def _prune(
     instance: UnicastInstance, target: tuple[int, ...] | None = None
 ) -> MinimizeResult:
@@ -43,13 +59,16 @@ def _prune(
 
     Each session holds a unit flow of exactly its target value, built by
     augmenting until the target is met or no path remains, so with no target
-    one pass yields the max-flow and a flow of that value.  An edge no flow
-    uses is removed without a search.  Each flow that uses edge (u, v) drops
-    its unit there and flips the arcs of a u -> v path in its residual graph
-    over the edges still present.  A failed search changes nothing, so that
-    flow only gets its unit back.  Flows already moved stay moved: they keep
-    their value, and every decision depends on the graph alone (see
-    :func:`minimize`), not on which flow is held.
+    one pass yields the max-flow and a flow of that value.  One residual
+    component pass per flow marks the edges critical before any removal
+    (:func:`_critical_edges`); they stay critical, so the scan keeps them
+    without a search.  An edge no flow uses is removed without a search.
+    Each flow that uses any other edge (u, v) drops its unit there and flips
+    the arcs of a u -> v path in its residual graph over the edges still
+    present.  A failed search changes nothing, so that flow only gets its
+    unit back.  Flows already moved stay moved: they keep their value, and
+    every decision depends on the graph alone (see :func:`minimize`), not on
+    which flow is held.
     """
     caps = [1] * instance.n_edges  # 0 marks a removed edge
     limits = [None] * len(instance.sessions) if target is None else target
@@ -57,8 +76,11 @@ def _prune(
         _unit_flow(instance, (s.source,), (s.terminal,), limit)[1]
         for s, limit in zip(instance.sessions, limits)
     ]
+    critical = _critical_edges(instance, flows)
     removed: list[int] = []
     for eid, (u, v) in enumerate(instance.edges):
+        if critical[eid]:
+            continue
         caps[eid] = 0
         for flow in flows:
             if not flow[eid]:
@@ -90,7 +112,9 @@ def minimize(instance: UnicastInstance) -> MinimizeResult:
     because the difference of the two flows is one unit from u to v plus
     circulations.  The answer depends on the graph alone, not on the flow
     held.  A second pass would remove nothing: the removed set only grows,
-    so an edge critical when it was scanned stays critical.
+    so an edge critical when it was scanned stays critical.  By the same
+    argument an edge critical in the input, its endpoints in different
+    components of some flow's residual graph, needs no question at all.
     """
     return _prune(instance)
 

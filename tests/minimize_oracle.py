@@ -1,18 +1,23 @@
-"""Reference single-pass pruning: cancel a whole flow path, then re-augment.
+"""Reference single-pass prunings, the earlier forms of ``transform._prune``.
 
-This is the earlier ``transform._prune``.  It first runs a separate max-flow
-per session for the target, keeps one unit flow per session of exactly that
-value, and for each edge some flow uses cancels the source-to-terminal flow
-path through the edge and searches for one augmenting path from the source
-that avoids the edge and every edge already removed.  ``transform`` now moves
-the unit along a tail-to-head detour instead and reads the max-flow off its
-own augmentation; both must give equal ``MinimizeResult``s.
+``prune_reference`` first runs a separate max-flow per session for the
+target, keeps one unit flow per session of exactly that value, and for each
+edge some flow uses cancels the source-to-terminal flow path through the
+edge and searches for one augmenting path from the source that avoids the
+edge and every edge already removed.
+
+``prune_detour_reference`` moves the unit along a tail-to-head detour
+instead, and asks that question of every edge a flow uses when the scan
+reaches it.  ``transform`` now first marks, one residual component pass per
+flow, the edges that no detour can spare and scans past them.  All three
+must give equal ``MinimizeResult``s.
 """
 
 from __future__ import annotations
 
 from flow_oracle import _augment
 
+from netcode_unicast import flows as unit_flows
 from netcode_unicast.flows import connectivity_level
 from netcode_unicast.graph import Session, UnicastInstance
 from netcode_unicast.transform import MinimizeResult
@@ -71,3 +76,31 @@ def prune_reference(instance: UnicastInstance, target: tuple[int, ...]) -> Minim
 def minimize_reference(instance: UnicastInstance) -> MinimizeResult:
     """``prune_reference`` at the input's connectivity vector."""
     return prune_reference(instance, connectivity_level(instance))
+
+
+def prune_detour_reference(
+    instance: UnicastInstance, target: tuple[int, ...] | None = None
+) -> MinimizeResult:
+    """Detour pruning with a search for every flow edge the scan reaches;
+    with no target, each session keeps its max-flow."""
+    caps = [1] * instance.n_edges  # 0 marks a removed edge
+    limits = [None] * len(instance.sessions) if target is None else target
+    flows = [
+        unit_flows._unit_flow(instance, (s.source,), (s.terminal,), limit)[1]
+        for s, limit in zip(instance.sessions, limits)
+    ]
+    removed: list[int] = []
+    for eid, (u, v) in enumerate(instance.edges):
+        caps[eid] = 0
+        for flow in flows:
+            if not flow[eid]:
+                continue
+            flow[eid] = 0
+            if not unit_flows._augment(instance, flow, caps, (u,), (v,)):
+                flow[eid] = caps[eid] = 1
+                break
+        else:
+            removed.append(eid)
+    kept = [e for e in range(instance.n_edges) if caps[e]]
+    final, _ = instance.keep_edges(kept)
+    return MinimizeResult(final, tuple(removed), tuple(kept))

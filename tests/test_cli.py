@@ -10,6 +10,7 @@ import sys
 import time
 
 import pytest
+from cut_oracle import cutset_infeasible_exhaustive
 
 from netcode_unicast import (
     CutWitness,
@@ -28,7 +29,7 @@ from netcode_unicast import (
     serialize_code,
     verify_code,
 )
-from netcode_unicast import constructors, flows, netcode, oracle
+from netcode_unicast import constructors, flows, netcode, oracle, transform
 from netcode_unicast.cli import main
 from netcode_unicast.netcode import TerminalReport
 from test_netcode import BUTTERFLY, BUTTERFLY_CODE
@@ -178,6 +179,43 @@ def test_analyze_witness_past_the_cut_guard(gen, relays, cut, tmp_path):
         capacity=int(fields["capacity"]),
         required_rate=int(fields["rate"]),
     ).validate(inst)
+
+
+@pytest.mark.parametrize(
+    "command, fixture, asked",
+    # parent counts without the levels: 11, 3 and 11
+    [("analyze", "fig2a", 8), ("analyze", "fig3", 1), ("code", "fig2a", 8)],
+)
+def test_cut_check_reuses_the_levels_it_printed(command, fixture, asked, request, monkeypatch):
+    # a one-session subset whose max-flow meets its rate needs no min-cut:
+    # fig2a's three sessions have flow 2 for rate 1, fig3's flow 2 and 3 for
+    # rates 2 and 1; the witness stays the exhaustive oracle's
+    path = request.getfixturevalue(fixture)
+    calls = []
+    real = flows._min_cut
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(flows, "_min_cut", counted)
+    args = (command, path) + (("-o", path + ".code") if command == "code" else ())
+    rc, out, _ = run_cli(*args)
+    assert len(calls) == asked
+    inst = load_instance(path)
+    want = cutset_infeasible_exhaustive(inst)
+    lines = [l for l in out.splitlines() if l.startswith("WITNESS:")]
+    if want is None:
+        assert rc == 0 and not lines
+        return
+    assert rc == 1
+    sessions = ",".join(str(i + 1) for i in want.sessions)
+    nodes = ",".join(inst.names[v] for v in want.nodes)
+    edges = ",".join(str(e) for e in want.cut_edges)
+    assert lines == [
+        f"WITNESS: capacity {want.capacity} rate {want.required_rate}"
+        f" sessions {sessions} nodes {nodes} edges {edges}"
+    ]
 
 
 def test_main_calls_share_no_parsed_state(fig2b):
@@ -332,11 +370,16 @@ def test_code_checks_each_fact_once(tmp_path, monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # the detour searches of minimize, apart from the augmentations of max-flow
+    calls["detour"] = 0
+    monkeypatch.setattr(transform, "_augment", counting("detour", transform._augment))
     rc, out, _ = run_cli("code", src, "-o", out_path)
     assert rc == 0 and "RESULT: code q=2 T=2" in out
     # minimize twice per layer, the constructor's one verify, and one span
-    # solve per planned edge plus one per terminal symbol
-    assert calls == {"minimize": 4, "verify_code": 1, "in_span": 63}
+    # solve per planned edge plus one per terminal symbol; every edge a flow
+    # uses here is critical from the start, so no detour search runs (226
+    # when each was searched)
+    assert calls == {"minimize": 4, "verify_code": 1, "in_span": 63, "detour": 0}
 
 
 @pytest.mark.parametrize(

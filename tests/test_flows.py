@@ -1,5 +1,7 @@
 """Max-flow, path decomposition, and cut enumeration."""
 
+from unittest import mock
+
 import pytest
 import flow_oracle
 from cut_oracle import cutset_infeasible_exhaustive
@@ -310,6 +312,24 @@ def test_cut_enumeration_agreement(inst):
         # any valid S also cuts each separated session's own flow, so its
         # capacity is bounded below by every such session's max-flow
         assert fast.capacity >= max(max_flow(inst, i) for i in fast.sessions)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(random_dag_instance(max_nodes=9, max_sessions=3, max_rate=3))
+def test_known_levels_skip_only_the_met_single_sessions(inst):
+    levels = connectivity_level(inst)
+    with mock.patch.object(flows, "_min_cut", wraps=flows._min_cut) as cut:
+        plain = cutset_infeasible(inst)
+        asked = cut.call_count
+        cut.reset_mock()
+        known = cutset_infeasible(inst, _levels=levels)
+    assert known == plain == cutset_infeasible_exhaustive(inst)
+    met = sum(level >= s.rate for level, s in zip(levels, inst.sessions))
+    if plain is None:
+        # every subset was reached, and each met session lost its flow
+        assert cut.call_count == asked - met
+    else:
+        assert asked - met <= cut.call_count <= asked
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

@@ -6,8 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from span_oracle import in_span_reference, rref
 
-from netcode_unicast.gf import PrimeField, _eliminate, in_span, is_prime
+from netcode_unicast.gf import PrimeField, _reduce, in_span, is_prime
+from netcode_unicast.oracle import _Tuples
 
 PRIMES = [2, 3, 5, 7]
 
@@ -62,10 +64,15 @@ RANK_CASES = [
 
 
 def rank(rows, q):
-    """Rank as the number of pivots elimination finds."""
-    if not rows:
-        return 0
-    return len(_eliminate([list(r) for r in rows], len(rows[0]), q))
+    """Rank as the number of rows that stay nonzero when each is reduced
+    against the echelon basis of those before it."""
+    basis = []
+    for r in rows:
+        row = list(r)
+        col = _reduce(row, basis, len(row), q)
+        if col >= 0:
+            basis.append((col, row))
+    return len(basis)
 
 
 @pytest.mark.parametrize("q,rows,expected", RANK_CASES)
@@ -157,3 +164,58 @@ def test_rank_invariant_under_row_ops(q, n, data):
         assert rank(mutated, q) == base
     # The span never grows beyond min(#rows, n).
     assert base <= min(len(rows), n)
+
+
+@st.composite
+def rows_with_structure(draw):
+    """A field, a row length, and rows mixing random, zero, duplicate and
+    dependent ones (a combination of two earlier rows)."""
+    q = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=0, max_value=q - 1)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["random", "zero", "duplicate", "dependent"]))
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(entry), draw(entry)
+            rows.append(tuple((c * x + d * y) % q for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(draw(entry) for _ in range(n)))
+    return q, n, rows
+
+
+@settings(max_examples=300, derandomize=True)
+@given(rows_with_structure(), st.data())
+def test_in_span_matches_the_transposed_elimination(case, data):
+    q, n, rows = case
+    entry = st.integers(min_value=0, max_value=q - 1)
+    # a target in the span, one drawn freely, and the zero vector
+    coeffs = [data.draw(entry) for _ in rows]
+    targets = [
+        PrimeField(q).vec_combine(coeffs, rows, n),
+        tuple(data.draw(entry) for _ in range(n)),
+        (0,) * n,
+    ]
+    for target in targets:
+        assert in_span(target, rows, q) == in_span_reference(target, rows, q)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(rows_with_structure())
+def test_tuple_spans_are_the_reduced_row_echelon_basis(case):
+    q, n, rows = case
+    arith = _Tuples(q, n)
+    basis = arith.zero_span
+    for k, v in enumerate(rows):
+        basis = arith.extend(basis, v)
+        assert basis == rref(rows[: k + 1], q)
+
+
+def test_in_span_length_check():
+    with pytest.raises(ValueError):
+        in_span((1, 0), [(1, 0), (1,)], 3)

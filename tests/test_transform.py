@@ -3,11 +3,18 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from minimize_oracle import minimize_reference, prune_reference
+from minimize_oracle import minimize_reference, prune_detour_reference, prune_reference
+from test_flows import random_dag_instance
 
 from netcode_unicast import constructors
 from netcode_unicast.constructors import assign_133
-from netcode_unicast.flows import connectivity_level, edge_disjoint_paths, max_flow
+from netcode_unicast.flows import (
+    _augment,
+    _unit_flow,
+    connectivity_level,
+    edge_disjoint_paths,
+    max_flow,
+)
 from netcode_unicast.graph import (
     Path,
     Session,
@@ -27,6 +34,7 @@ from netcode_unicast.sampling import sample_1m, sample_triple, sample_uniform
 from netcode_unicast.transform import (
     GADGET,
     MinimizeResult,
+    _critical_edges,
     _prune,
     internal_degree_ok,
     lift_code,
@@ -61,14 +69,17 @@ def _prune_oracle(instance, target):
 
 
 def assert_matches_oracle(instance, target=None):
-    """Equal results from the detour pruning, the path-cancelling pruning it
-    replaced, and repeated-pass pruning."""
+    """Equal results from the component-marked detour pruning, the per-edge
+    detour and path-cancelling prunings it replaced, and repeated-pass
+    pruning."""
     if target is None:
         result = minimize(instance)
+        assert result == prune_detour_reference(instance)
         assert result == minimize_reference(instance)
         assert result == _prune_oracle(instance, connectivity_level(instance))[0]
     else:
         result = _prune(instance, target)
+        assert result == prune_detour_reference(instance, target)
         assert result == prune_reference(instance, target)
         assert result == _prune_oracle(instance, target)[0]
 
@@ -386,6 +397,61 @@ def test_minimize_matches_oracle(inst):
 @given(instance_and_target())
 def test_prune_to_connectivity_matches_oracle(case):
     assert_matches_oracle(*case)
+
+
+@st.composite
+def dag_and_target(draw):
+    """Parallel edges, shared endpoints and sessions at max-flow 0 from
+    ``random_dag_instance``, with a target at or below each max-flow."""
+    inst = draw(random_dag_instance(max_nodes=7, max_sessions=3))
+    target = tuple(
+        draw(st.integers(min_value=0, max_value=level))
+        for level in connectivity_level(inst)
+    )
+    return inst, target
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(dag_and_target())
+def test_prune_matches_oracles_on_random_dags(case):
+    inst, target = case
+    assert_matches_oracle(inst)
+    assert_matches_oracle(inst, target)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(dag_and_target())
+def test_component_marks_are_the_failed_detours(case):
+    inst, target = case
+    flows = [
+        _unit_flow(inst, (s.source,), (s.terminal,), limit)[1]
+        for s, limit in zip(inst.sessions, target)
+    ]
+    failed = [0] * inst.n_edges
+    for flow in flows:
+        for eid, (u, v) in enumerate(inst.edges):
+            if not flow[eid]:
+                continue
+            rest = flow[:]
+            rest[eid] = 0
+            present = [int(e != eid) for e in range(inst.n_edges)]
+            if not _augment(inst, rest, present, (u,), (v,)):
+                failed[eid] = 1
+    assert _critical_edges(inst, flows) == failed
+
+
+def test_minimize_long_chain_does_not_recurse():
+    # 20,000 nodes in one path, from the highest id down: every edge is
+    # critical, and the component search, rooted at node 0 first, walks the
+    # flow's backward arcs up the whole path, past the interpreter's
+    # recursion limit were it recursive
+    n = 20_000
+    names = tuple(f"n{i}" for i in range(n))
+    edges = tuple((i + 1, i) for i in range(n - 1))
+    inst = UnicastInstance(names, edges, (Session(n - 1, 0, 1),))
+    result = minimize(inst)
+    assert result.removed == ()
+    assert result.edge_map == tuple(range(n - 1))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
