@@ -34,13 +34,11 @@ from .netcode import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
+    WITNESSES,
     brute_force_routing,
     brute_force_scalar,
     classify_triple,
-    gen_111,
-    gen_112,
     gen_113,
-    gen_122,
     gen_222,
     gen_232,
     gen_23_rate21,
@@ -54,15 +52,6 @@ GENERATORS = {
     "fig2b": gen_113,
     "fig3": gen_23_rate21,
     "cor232": gen_232,
-}
-
-_WITNESS_GENERATORS = {
-    "gen_111": gen_111,
-    "gen_112": gen_112,
-    "gen_122": gen_122,
-    "gen_222": gen_222,
-    "gen_113": gen_113,
-    "gen_232": gen_232,
 }
 
 _PALETTE = ("crimson", "royalblue", "forestgreen", "darkorange",
@@ -219,9 +208,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return 0
     print(f"RESULT: triple {shown} infeasible witness {verdict.witness}")
     if args.emit_witness:
-        if verdict.witness in _WITNESS_GENERATORS:
+        if verdict.triple in WITNESSES:
             path = args.output or f"{verdict.witness}.txt"
-            save_instance(_WITNESS_GENERATORS[verdict.witness](), path)
+            save_instance(WITNESSES[verdict.triple](), path)
             print(f"WITNESS: {verdict.witness} written {path}")
         else:
             print("WITNESS: none (characterization-only)")

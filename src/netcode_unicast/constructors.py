@@ -14,8 +14,8 @@ original edges through the stage edge maps.
 from __future__ import annotations
 
 from .flows import connectivity_level, edge_disjoint_paths
-from .gf import PrimeField, Vector
-from .graph import Session, UnicastInstance, attach_endpoints, expand_time
+from .gf import Vector, Vectors
+from .graph import Session, UnicastInstance, attach_endpoints
 from .netcode import CodeError, NetworkCode, code_from_plan, is_routing, verify_code
 from .transform import internal_degree_ok, minimize, overlap_segments, structure
 
@@ -39,16 +39,15 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
         raise CodeError(
             f"{len(levels)} sessions cannot each own one of {n} time layers"
         )
-    expanded = expand_time(instance, n)
-    F = PrimeField(q)
-    L = expanded.n_symbols
+    # the n-slot expansion multiplies every rate, and so every offset, by n
+    V = Vectors(q, n * instance.n_symbols)
     plan: dict[int, Vector] = {}
     for alpha in range(len(levels)):
-        offset = expanded.symbol_offsets()[alpha]
+        offset = n * instance.symbol_offsets()[alpha]
         for j, path in enumerate(edge_disjoint_paths(instance, alpha, n)):
             for eid in path.edge_ids:
                 # layer-alpha copy of a base edge carries symbol j untouched
-                plan[eid * n + alpha] = F.unit(L, offset + j)
+                plan[eid * n + alpha] = V.unit(offset + j)
     code = code_from_plan(instance, q, n, plan)
     result = verify_code(instance, code)
     if not is_routing(result.vectors):
@@ -96,10 +95,9 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
     zero).  The instance must meet :func:`assign_1m`'s preconditions; its
     callers establish them."""
     m = instance.sessions[1].rate
-    F = PrimeField(q)
-    L = instance.n_symbols
+    V = Vectors(q, instance.n_symbols)
     off2 = instance.symbol_offsets()[1]
-    x1 = F.unit(L, instance.symbol_offsets()[0])
+    x1 = V.unit(instance.symbol_offsets()[0])
 
     p1 = edge_disjoint_paths(instance, 0, 1)[0]
     p2 = edge_disjoint_paths(instance, 1, m + 1)
@@ -120,7 +118,7 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
         if not spares:
             break
         spare = max(spares)
-        unit = F.unit(L, off2 + pending.pop())
+        unit = V.unit(off2 + pending.pop())
         for eid in p2[spare].edge_ids:
             put(eid, unit)
         active.remove(spare)
@@ -132,15 +130,15 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
         )
         sums = [x1]
         for slot in pending:
-            sums.append(F.vec_add(sums[-1], F.unit(L, off2 + slot)))
-        fed_total = F.vec_add(sums[-1], F.vec_scale(q - 1, x1))
+            sums.append(V.add(sums[-1], V.unit(off2 + slot)))
+        fed_total = V.combine((1, q - 1), (sums[-1], x1))
         last = len(ordered) - 1
         shared: set[int] = set()
         for rank, i in enumerate(ordered):
             seg = segments[i][0]
             shared.update(seg)
             inside = sums[rank + 1] if rank < last else x1
-            feed = F.unit(L, off2 + pending[rank]) if rank < last else fed_total
+            feed = V.unit(off2 + pending[rank]) if rank < last else fed_total
             path = p2[i].edge_ids
             start = path.index(seg[0])
             for eid in path[:start]:

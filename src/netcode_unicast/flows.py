@@ -247,6 +247,8 @@ def cutset_infeasible(
 
     A caller holding the connectivity vector passes it as ``_levels``; a
     one-session subset whose max-flow meets its rate then needs no flow.
+    The witness passes :meth:`CutWitness.validate` before it is returned, so
+    no unchecked cut is ever reported.
     """
     for subset in _session_subsets(len(instance.sessions)):
         inside = {instance.sessions[i].source for i in subset}
@@ -268,11 +270,13 @@ def cutset_infeasible(
         crossing = tuple(
             e for e, (u, v) in enumerate(instance.edges) if u in inside and v not in inside
         )
-        return CutWitness(
+        witness = CutWitness(
             sessions=subset,
             nodes=tuple(sorted(inside)),
             cut_edges=crossing,
             capacity=len(crossing),
             required_rate=required,
         )
+        witness.validate(instance)
+        return witness
     return None

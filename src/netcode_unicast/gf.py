@@ -1,20 +1,20 @@
-"""Prime-field arithmetic and the small linear algebra the coding layer needs.
+"""Vectors over a prime field and the small linear algebra the coding layer needs.
 
-Everything here works over GF(q) for a prime q.  Vectors are plain tuples of
-ints in ``range(q)``; keeping them hashable matters because the search code
-uses them as memo keys.  Matrices are short lists of such tuples, so the
-one elimination routine, :func:`_reduce`, is written directly instead of
-pulling in a numerics dependency.  It reduces one row against an echelon
-basis: ``in_span`` builds its basis from the rows in order and reads the
-target's coefficients off the combinations the basis rows carry, and the
-search keeps each span as the reduced row echelon basis it builds with it.
+Everything here works over GF(q) for a prime q.  :class:`Vectors` is GF(q)^n,
+for the code layer and for the search where no table of the q**n vectors
+fits: plain tuples of n ints in ``range(q)``, hashable because the search
+uses them as memo keys.  The one elimination routine, :func:`_reduce`, is
+written directly instead of pulling in a numerics dependency.  It reduces
+one row against an echelon basis: ``in_span`` builds its basis from the rows
+in order and reads the target's coefficients off the combinations the basis
+rows carry, and :meth:`Vectors.extend` keeps a span as its reduced row
+echelon basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Sequence
 
 Vector = tuple[int, ...]
 
@@ -43,56 +43,63 @@ def _checked_prime(q: int) -> int:
     return q
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeField:
-    """Arithmetic over GF(q), q prime.
+class Vectors:
+    """GF(q)^n, q prime.  A span is its reduced row echelon basis, which is
+    canonical: rows by ascending pivot, each led by a 1 and zero in the
+    other pivot columns."""
 
-    Scalar methods operate on plain ints already reduced mod q.
-    """
+    __slots__ = ("q", "n", "zero")
+    zero_span: tuple[Vector, ...] = ()
 
-    q: int
+    def __init__(self, q: int, n: int):
+        self.q = _checked_prime(q)
+        self.n = n
+        self.zero: Vector = (0,) * n
 
-    def __post_init__(self) -> None:
-        _checked_prime(self.q)
+    def unit(self, k: int) -> Vector:
+        """The unit vector with a 1 in coordinate k."""
+        if not 0 <= k < self.n:
+            raise IndexError(f"unit index {k} out of range for length {self.n}")
+        return self.zero[:k] + (1,) + self.zero[k + 1 :]
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def zeros(self, n: int) -> Vector:
-        return (0,) * n
-
-    def unit(self, n: int, k: int) -> Vector:
-        """Length-n unit vector with a 1 in coordinate k."""
-        if not 0 <= k < n:
-            raise IndexError(f"unit index {k} out of range for length {n}")
-        return tuple(1 if i == k else 0 for i in range(n))
-
-    def vec_add(self, u: Vector, v: Vector) -> Vector:
+    def add(self, u: Vector, v: Vector) -> Vector:
         if len(u) != len(v):
             raise ValueError("vector length mismatch")
-        return tuple((a + b) % self.q for a, b in zip(u, v))
+        q = self.q
+        return tuple([(a + b) % q for a, b in zip(u, v)])
 
-    def vec_scale(self, c: int, v: Vector) -> Vector:
-        c %= self.q
-        if c == 0:
-            return (0,) * len(v)
-        if c == 1:
-            return v
-        return tuple((c * a) % self.q for a in v)
-
-    def vec_combine(self, coeffs: Iterable[int], vectors: Iterable[Vector], n: int) -> Vector:
-        acc = [0] * n
+    def combine(self, coeffs: Iterable[int], vectors: Iterable[Vector]) -> Vector:
+        """The sum of c * v over paired coefficients and vectors."""
+        q = self.q
+        acc = [0] * self.n
         for c, v in zip(coeffs, vectors):
-            c %= self.q
+            c %= q
             if c == 0:
                 continue
             for i, a in enumerate(v):
                 if a:
-                    acc[i] = (acc[i] + c * a) % self.q
+                    acc[i] = (acc[i] + c * a) % q
         return tuple(acc)
+
+    def adder(self, g: Vector) -> Callable[[Vector], Vector]:
+        return partial(self.add, g)
+
+    def extend(self, basis: tuple[Vector, ...], v: Vector) -> tuple[Vector, ...]:
+        """The reduced row echelon basis of span(basis) + <v>."""
+        q = self.q
+        pivoted = [(b.index(1), b) for b in basis]  # zeros, then the leading 1
+        row = list(v)
+        col = _reduce(row, pivoted, self.n, q)
+        if col < 0:
+            return basis
+        # clear the new pivot from the old rows, which keeps theirs
+        rows = [
+            (p, tuple((x - b[col] * y) % q for x, y in zip(b, row)) if b[col] else b)
+            for p, b in pivoted
+        ]
+        rows.append((col, tuple(row)))
+        rows.sort()
+        return tuple(b for _, b in rows)
 
 
 def _reduce(
@@ -146,6 +153,6 @@ def in_span(target: Vector, rows: Sequence[Vector], q: int) -> Vector | None:
     if _reduce(rest, basis, n, q) >= 0:
         return None
     coeffs = tuple([-c % q for c in rest[n:]])
-    if PrimeField(q).vec_combine(coeffs, rows, n) != tuple(want):
+    if Vectors(q, n).combine(coeffs, rows) != tuple(want):
         return None
     return coeffs

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .gf import PrimeField, Vector, in_span
+from .gf import Vector, Vectors, _checked_prime, in_span
 from .graph import UnicastInstance, expand_time
 
 
@@ -55,7 +55,7 @@ class NetworkCode:
                 f"{instance.n_edges * self.T}"
             )
         expanded = expand_time(instance, self.T)
-        PrimeField(self.q)
+        _checked_prime(self.q)
         for eid, rule in enumerate(self.rules):
             tail = expanded.tail(eid)
             allowed_in = set(expanded.in_edges[tail])
@@ -87,17 +87,15 @@ def propagate(instance: UnicastInstance, code: NetworkCode) -> tuple[Vector, ...
 
 
 def _propagate(expanded: UnicastInstance, code: NetworkCode) -> tuple[Vector, ...]:
-    F = PrimeField(code.q)
-    L = expanded.n_symbols
-    vectors: list[Vector] = [F.zeros(L)] * expanded.n_edges
+    V = Vectors(code.q, expanded.n_symbols)
+    vectors: list[Vector] = [V.zero] * expanded.n_edges
     for eid in expanded.edges_in_topo_order():
-        rule = code.rules[eid]
-        acc = F.zeros(L)
-        for j, coeff in rule.in_coeffs:
-            acc = F.vec_add(acc, F.vec_scale(coeff, vectors[j]))
-        for k, coeff in rule.src_coeffs:
-            acc = F.vec_add(acc, F.vec_scale(coeff, F.unit(L, k)))
-        vectors[eid] = acc
+        ins, srcs = code.rules[eid].in_coeffs, code.rules[eid].src_coeffs
+        if ins or srcs:  # an empty rule keeps the one zero vector
+            vectors[eid] = V.combine(
+                [c for _, c in ins + srcs],
+                [vectors[j] for j, _ in ins] + [V.unit(k) for k, _ in srcs],
+            )
     return tuple(vectors)
 
 
@@ -132,15 +130,14 @@ def verify_code(instance: UnicastInstance, code: NetworkCode) -> VerifyResult:
     of the global vectors received on its in-edges."""
     expanded = code.validate(instance)
     vectors = _propagate(expanded, code)
-    L = expanded.n_symbols
-    F = PrimeField(code.q)
+    V = Vectors(code.q, expanded.n_symbols)
     reports: list[TerminalReport] = []
     for i, session in enumerate(expanded.sessions):
         fed = tuple(expanded.in_edges[session.terminal])
         rows = [vectors[e] for e in fed]
         decoders: list[Vector | None] = []
         for k in expanded.session_symbols(i):
-            decoders.append(in_span(F.unit(L, k), rows, code.q))
+            decoders.append(in_span(V.unit(k), rows, code.q))
         reports.append(
             TerminalReport(
                 session=i,
@@ -178,20 +175,18 @@ def code_from_plan(
     expanded = expand_time(instance, T)
     if any(not 0 <= eid < expanded.n_edges for eid in plan):
         raise CodeError("plan vector on an edge outside the expanded instance")
-    F = PrimeField(q)
-    L = expanded.n_symbols
-    zero = F.zeros(L)
+    V = Vectors(q, expanded.n_symbols)
     rules: list[LocalRule] = [EMPTY_RULE] * expanded.n_edges
     for eid in expanded.edges_in_topo_order():
         target = plan.get(eid)
         if target is None:
             continue
-        if len(target) != L:
+        if len(target) != V.n:
             raise CodeError(f"edge {eid}: plan vector has the wrong length")
         tail = expanded.tail(eid)
         in_ids = list(expanded.in_edges[tail])
         observed = list(expanded.observed_symbols(tail))
-        rows = [plan.get(j, zero) for j in in_ids] + [F.unit(L, k) for k in observed]
+        rows = [plan.get(j, V.zero) for j in in_ids] + [V.unit(k) for k in observed]
         coeffs = in_span(target, rows, q)
         if coeffs is None:
             raise CodeError(f"edge {eid}: plan vector not realizable at its tail")

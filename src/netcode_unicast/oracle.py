@@ -35,7 +35,7 @@ q = 2 they are bitmasks and adding is XOR.  For q >= 3, while the q**L
 vectors number at most ``TABLE_VECTORS`` they are packed base-q integers and
 every sum and multiple is read from tables built once per search.  Above
 that no table fits (q = 65537 has 65537**L vectors): vectors are tuples and
-spans are reduced row echelon bases, extended by ``gf._reduce``.
+spans are reduced row echelon bases, both kept by ``gf.Vectors``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .gf import PrimeField, Vector, _reduce
+from .gf import Vectors, _checked_prime
 from .graph import Session, UnicastInstance, build_instance, expand_time
 from .netcode import CodeError, LocalRule, NetworkCode, verify_code
 
@@ -105,16 +105,6 @@ class Verdict:
     permutation: tuple[int, int, int]
 
 
-_WITNESSES = {
-    (1, 1, 1): "gen_111",
-    (1, 1, 2): "gen_112",
-    (1, 2, 2): "gen_122",
-    (2, 2, 2): "gen_222",
-    (1, 1, 3): "gen_113",
-    (2, 2, 3): "gen_232",
-}
-
-
 def classify_triple(k: Sequence[int]) -> Verdict:
     """Classify a connectivity triple with all entries in [1, 3].
 
@@ -132,7 +122,7 @@ def classify_triple(k: Sequence[int]) -> Verdict:
     if s[1] >= 3 and s[2] >= 3:
         strategy = "routing" if s == (3, 3, 3) else "vector-T2"
         return Verdict(s, True, strategy, None, permutation)
-    witness = _WITNESSES.get(s, "characterization-only")
+    witness = WITNESSES[s].__name__ if s in WITNESSES else "characterization-only"
     return Verdict(s, False, None, witness, permutation)
 
 
@@ -302,6 +292,18 @@ def gen_fig1() -> UnicastInstance:
     )
 
 
+# sorted infeasible triple -> the generator of its counter-example; a
+# verdict names the generator, and ``classify --emit-witness`` runs it
+WITNESSES = {
+    (1, 1, 1): gen_111,
+    (1, 1, 2): gen_112,
+    (1, 2, 2): gen_122,
+    (2, 2, 2): gen_222,
+    (1, 1, 3): gen_113,
+    (2, 2, 3): gen_232,
+}
+
+
 # ------------------------------------------------------------- search engine
 
 @dataclass(frozen=True, slots=True)
@@ -418,46 +420,7 @@ class _Tables:
         return frozenset(self.add[s][m] for s in span for m in self.mul[v])
 
 
-class _Tuples:
-    """GF(q) vectors as tuples, for fields whose q**L vectors no table holds.
-    A span is its reduced row echelon basis, which is canonical: rows by
-    ascending pivot, each led by a 1 and zero in the other pivot columns."""
-
-    zero_span: tuple[Vector, ...] = ()
-
-    def __init__(self, q: int, n_symbols: int):
-        self.q = q
-        self.field = PrimeField(q)
-        self.n_symbols = n_symbols
-        self.zero = (0,) * n_symbols
-
-    def unit(self, k: int) -> Vector:
-        return self.field.unit(self.n_symbols, k)
-
-    def combine(self, block: Sequence[int], gens: Sequence[Vector]) -> Vector:
-        return self.field.vec_combine(block, gens, self.n_symbols)
-
-    def adder(self, g: Vector) -> Callable[[Vector], Vector]:
-        return partial(self.field.vec_add, g)
-
-    def extend(self, basis: tuple[Vector, ...], v: Vector) -> tuple[Vector, ...]:
-        q = self.q
-        pivoted = [(b.index(1), b) for b in basis]  # zeros, then the leading 1
-        row = list(v)
-        col = _reduce(row, pivoted, self.n_symbols, q)
-        if col < 0:
-            return basis
-        # clear the new pivot from the old rows, which keeps theirs
-        rows = [
-            (p, tuple((x - b[col] * y) % q for x, y in zip(b, row)) if b[col] else b)
-            for p, b in pivoted
-        ]
-        rows.append((col, tuple(row)))
-        rows.sort()
-        return tuple(b for _, b in rows)
-
-
-def _arithmetic(q: int, n_symbols: int) -> _Xor | _Tables | _Tuples:
+def _arithmetic(q: int, n_symbols: int) -> _Xor | _Tables | Vectors:
     """Bitmasks at q=2, tables while q**L fits TABLE_VECTORS, else tuples."""
     if q == 2:
         return _Xor()
@@ -465,7 +428,7 @@ def _arithmetic(q: int, n_symbols: int) -> _Xor | _Tables | _Tuples:
     # from building a huge power
     if q ** min(n_symbols, 8) <= TABLE_VECTORS:
         return _Tables(q, n_symbols)
-    return _Tuples(q, n_symbols)
+    return Vectors(q, n_symbols)
 
 
 class _Lazy(dict):
@@ -485,7 +448,7 @@ class _Rows(_Lazy):
     __slots__ = ("joins",)
 
 
-def _span_rows(arith: _Xor | _Tables | _Tuples) -> _Rows:
+def _span_rows(arith: _Xor | _Tables | Vectors) -> _Rows:
     """Join rows over interned spans: ``rows[sid][v]`` is the id of
     span(sid) + <v>, id 0 is {0}, and ``rows.joins[a][b]`` is the id of
     span(a) + span(b).  Equal spans get equal ids.  The spans and their bases
@@ -580,7 +543,7 @@ def _search(
 ) -> SearchReport:
     if budget < 1:
         raise ValueError("budget must be positive")
-    PrimeField(q)
+    _checked_prime(q)
     if q > MAX_SEARCH_FIELD_ORDER:
         raise ValueError(f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}")
     if instance.n_edges * T > MAX_SEARCH_EDGES:

@@ -1,19 +1,8 @@
 """Instance surgery: minimization, degree-3 structuring, code lifting.
 
 Minimization removes every edge whose deletion keeps the connectivity
-vector intact, leaving an instance where each remaining edge is critical.
-It augments one unit flow per session to its max-flow, then scans the
-edges once, in ascending id order.  An edge no flow uses goes for free; an
-edge some flows use goes only if each of them, its unit on the edge (u, v)
-dropped, finds a u -> v detour in its residual graph that avoids the edge
-and every edge already removed.  The detour exists exactly when a flow of
-the same value avoids those edges (the two flows differ by one u -> v unit
-plus circulations), so each decision depends on the graph alone.  One pass
-suffices: max-flow only falls as edges go, so an edge that was critical
-when scanned stays critical.  For the same reason an edge critical before
-any removal is kept without a search: one strongly-connected-component
-pass over each flow's residual graph finds every flow edge whose endpoints
-no detour joins.
+vector intact, leaving an instance where each remaining edge is critical,
+in one pass of flow detours (see :func:`minimize`).
 
 Structuring replaces high-degree internal nodes by crossbar gadgets of
 merge/fork cells so that every internal node has total degree at most 3
@@ -50,32 +39,33 @@ def _critical_edges(instance: UnicastInstance, flows: list[list[int]]) -> list[i
     return critical
 
 
-def _prune(
-    instance: UnicastInstance, target: tuple[int, ...] | None = None
-) -> MinimizeResult:
-    """Drop edges in ascending id order while every session keeps max-flow
-    >= its target, which must not exceed the input's connectivity; with no
-    target, each session keeps its max-flow.
+def minimize(instance: UnicastInstance) -> MinimizeResult:
+    """Remove edges until every remaining one is critical for some session.
 
-    Each session holds a unit flow of exactly its target value, built by
-    augmenting until the target is met or no path remains, so with no target
-    one pass yields the max-flow and a flow of that value.  One residual
-    component pass per flow marks the edges critical before any removal
-    (:func:`_critical_edges`); they stay critical, so the scan keeps them
-    without a search.  An edge no flow uses is removed without a search.
-    Each flow that uses any other edge (u, v) drops its unit there and flips
-    the arcs of a u -> v path in its residual graph over the edges still
-    present.  A failed search changes nothing, so that flow only gets its
-    unit back.  Flows already moved stay moved: they keep their value, and
-    every decision depends on the graph alone (see :func:`minimize`), not on
-    which flow is held.
+    The connectivity vector of the result equals the input's exactly: edge
+    removal can only lower a max-flow, so holding every component >= the
+    original level holds it equal.  No separate max-flow runs: each session
+    holds a unit flow augmented to its maximum first.
+
+    One pass in ascending id order decides each edge with the question "does
+    every max-flow stay without the edges removed so far and this one?".  An
+    edge no flow uses goes without a search.  A flow f using edge e = (u, v)
+    has a same-value replacement avoiding e exactly when the residual graph
+    of f less e's unit, without e and the removed edges, has a u -> v path,
+    because the difference of the two flows is one unit from u to v plus
+    circulations.  So each flow using e drops its unit there and flips the
+    arcs of such a path; a failed search changes nothing, so that flow only
+    gets its unit back.  Flows already moved stay moved: they keep their
+    value, and the answer depends on the graph alone, not on the flow held.
+
+    A second pass would remove nothing: the removed set only grows, so an
+    edge critical when it was scanned stays critical.  By the same argument
+    an edge critical in the input, its endpoints in different components of
+    some flow's residual graph (:func:`_critical_edges`), is kept without a
+    search.
     """
     caps = [1] * instance.n_edges  # 0 marks a removed edge
-    limits = [None] * len(instance.sessions) if target is None else target
-    flows = [
-        _unit_flow(instance, (s.source,), (s.terminal,), limit)[1]
-        for s, limit in zip(instance.sessions, limits)
-    ]
+    flows = [_unit_flow(instance, (s.source,), (s.terminal,))[1] for s in instance.sessions]
     critical = _critical_edges(instance, flows)
     removed: list[int] = []
     for eid, (u, v) in enumerate(instance.edges):
@@ -94,29 +84,6 @@ def _prune(
     kept = [e for e in range(instance.n_edges) if caps[e]]
     final, _ = instance.keep_edges(kept)
     return MinimizeResult(final, tuple(removed), tuple(kept))
-
-
-def minimize(instance: UnicastInstance) -> MinimizeResult:
-    """Remove edges until every remaining one is critical for some session.
-
-    The connectivity vector of the result equals the input's exactly: edge
-    removal can only lower a max-flow, so holding every component >= the
-    original level holds it equal.  No separate max-flow runs: the pruning
-    flows are augmented to their maximum first.
-
-    One ascending pass decides each edge with the question "does max-flow
-    stay >= target without the edges removed so far and this one?", asked
-    of one flow f per session: a flow f using edge e = (u, v) has a
-    same-value replacement avoiding e exactly when the residual graph of
-    f less e's unit, without e and the removed edges, has a u -> v path,
-    because the difference of the two flows is one unit from u to v plus
-    circulations.  The answer depends on the graph alone, not on the flow
-    held.  A second pass would remove nothing: the removed set only grows,
-    so an edge critical when it was scanned stays critical.  By the same
-    argument an edge critical in the input, its endpoints in different
-    components of some flow's residual graph, needs no question at all.
-    """
-    return _prune(instance)
 
 
 # -- degree-3 structuring ----------------------------------------------------

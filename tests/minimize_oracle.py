@@ -1,4 +1,4 @@
-"""Reference single-pass prunings, the earlier forms of ``transform._prune``.
+"""Reference single-pass prunings, the earlier forms of ``transform.minimize``.
 
 ``prune_reference`` first runs a separate max-flow per session for the
 target, keeps one unit flow per session of exactly that value, and for each
@@ -78,16 +78,13 @@ def minimize_reference(instance: UnicastInstance) -> MinimizeResult:
     return prune_reference(instance, connectivity_level(instance))
 
 
-def prune_detour_reference(
-    instance: UnicastInstance, target: tuple[int, ...] | None = None
-) -> MinimizeResult:
+def prune_detour_reference(instance: UnicastInstance) -> MinimizeResult:
     """Detour pruning with a search for every flow edge the scan reaches;
-    with no target, each session keeps its max-flow."""
+    each session keeps its max-flow."""
     caps = [1] * instance.n_edges  # 0 marks a removed edge
-    limits = [None] * len(instance.sessions) if target is None else target
     flows = [
-        unit_flows._unit_flow(instance, (s.source,), (s.terminal,), limit)[1]
-        for s, limit in zip(instance.sessions, limits)
+        unit_flows._unit_flow(instance, (s.source,), (s.terminal,))[1]
+        for s in instance.sessions
     ]
     removed: list[int] = []
     for eid, (u, v) in enumerate(instance.edges):

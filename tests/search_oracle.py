@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from netcode_unicast.gf import PrimeField
+from netcode_unicast.gf import _checked_prime
 from netcode_unicast.graph import UnicastInstance, expand_time
 from netcode_unicast.netcode import CodeError, LocalRule, NetworkCode, verify_code
 from netcode_unicast.oracle import MAX_SEARCH_FIELD_ORDER, SearchReport
@@ -91,7 +91,7 @@ def _search(
 ) -> SearchReport:
     if budget < 1:
         raise ValueError("budget must be positive")
-    PrimeField(q)
+    _checked_prime(q)
     if q > MAX_SEARCH_FIELD_ORDER:
         raise ValueError(
             f"search field order must be at most {MAX_SEARCH_FIELD_ORDER}, got {q}"

@@ -7,7 +7,7 @@ or in the rule layout shows as a disagreement on some edge.
 
 from __future__ import annotations
 
-from netcode_unicast.gf import PrimeField, Vector
+from netcode_unicast.gf import Vector
 from netcode_unicast.graph import UnicastInstance
 from netcode_unicast.netcode import CodeError, NetworkCode
 
@@ -18,7 +18,7 @@ def simulate(
     """The value each expanded edge carries when the source symbols take
     ``source_values``."""
     expanded = code.validate(instance)
-    F = PrimeField(code.q)
+    q = code.q
     if len(source_values) != expanded.n_symbols:
         raise CodeError("source value vector has the wrong length")
     values = [0] * expanded.n_edges
@@ -26,8 +26,8 @@ def simulate(
         rule = code.rules[eid]
         acc = 0
         for j, coeff in rule.in_coeffs:
-            acc = F.add(acc, F.mul(coeff, values[j]))
+            acc = (acc + coeff * values[j]) % q
         for k, coeff in rule.src_coeffs:
-            acc = F.add(acc, F.mul(coeff, source_values[k]))
+            acc = (acc + coeff * source_values[k]) % q
         values[eid] = acc
     return tuple(values)

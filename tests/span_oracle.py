@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from netcode_unicast.gf import PrimeField, Vector
+from netcode_unicast.gf import Vector
 
 
 def eliminate(mat: list[list[int]], n_cols: int, q: int) -> list[int]:
@@ -70,6 +70,7 @@ def in_span_reference(target: Vector, rows: Sequence[Vector], q: int) -> Vector 
     coeffs = [0] * m
     for r, col in enumerate(pivots):
         coeffs[col] = aug[r][m]
-    if PrimeField(q).vec_combine(coeffs, rows, n) != tuple(x % q for x in target):
+    got = [sum(c * r[i] for c, r in zip(coeffs, rows)) % q for i in range(n)]
+    if got != [x % q for x in target]:
         return None
     return tuple(coeffs)

@@ -14,6 +14,7 @@ from cut_oracle import cutset_infeasible_exhaustive
 
 from netcode_unicast import (
     CutWitness,
+    InstanceError,
     assign_133,
     build_instance,
     connectivity_level,
@@ -116,6 +117,18 @@ def test_analyze_fig2a_reports_cut_violation(fig2a):
     witness = [l for l in lines if l.startswith("WITNESS:")]
     assert len(witness) == 1
     assert "capacity 2 rate 3" in witness[0]
+
+
+def test_analyze_prints_no_witness_that_fails_its_check(fig2a, monkeypatch):
+    def refuse(self, instance):
+        raise InstanceError("witness does not violate the cut-set bound")
+
+    monkeypatch.setattr(CutWitness, "validate", refuse)
+    rc, out, err = run_cli("analyze", fig2a)
+    assert rc == 2
+    assert "RESULT: connectivity [2,2,2]" in out.splitlines()
+    assert not any(l.startswith("WITNESS:") for l in out.splitlines())
+    assert "witness does not violate" in err
 
 
 def test_analyze_fig2b_reports_cut_violation(fig2b):

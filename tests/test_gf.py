@@ -8,47 +8,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from span_oracle import in_span_reference, rref
 
-from netcode_unicast.gf import PrimeField, _reduce, in_span, is_prime
-from netcode_unicast.oracle import _Tuples
+from netcode_unicast.gf import Vectors, _reduce, in_span, is_prime
 
 PRIMES = [2, 3, 5, 7]
 
 
 @pytest.mark.parametrize("q", PRIMES)
 def test_field_axioms_exhaustive(q):
-    F = PrimeField(q)
+    # one-coordinate vectors are the field's scalars
+    V = Vectors(q, 1)
     elems = range(q)
     for a, b in itertools.product(elems, repeat=2):
-        assert F.add(a, b) == (a + b) % q
-        assert F.mul(a, b) == (a * b) % q
+        assert V.add((a,), (b,)) == ((a + b) % q,)
+        assert V.combine((a,), [(b,)]) == ((a * b) % q,)
 
 
 @pytest.mark.parametrize("q", [1, 4, 6, 9, 100])
 def test_nonprime_rejected(q):
     with pytest.raises(ValueError):
-        PrimeField(q)
+        Vectors(q, 1)
     assert not is_prime(q)
 
 
 def test_field_order_bounded_before_primality_test():
-    assert PrimeField(2**31 - 1).q == 2**31 - 1  # the largest, a prime
+    assert Vectors(2**31 - 1, 1).q == 2**31 - 1  # the largest, a prime
     # a prime far past the bound, which trial division would take ages on
     with pytest.raises(ValueError, match="at most"):
-        PrimeField(2**61 - 1)
+        Vectors(2**61 - 1, 1)
 
 
 def test_vector_helpers():
-    F = PrimeField(3)
-    assert F.zeros(3) == (0, 0, 0)
-    assert F.unit(4, 2) == (0, 0, 1, 0)
-    assert F.vec_add((1, 2), (2, 2)) == (0, 1)
-    assert F.vec_scale(2, (1, 2, 0)) == (2, 1, 0)
-    got = F.vec_combine([1, 2], [(1, 0), (0, 2)], 2)
-    assert got == (1, 1)
-    with pytest.raises(ValueError):
-        F.vec_add((1,), (1, 2))
-    with pytest.raises(IndexError):
-        F.unit(2, 2)
+    # every pair of vectors and of coefficients over GF(q)^2
+    for q in PRIMES:
+        V = Vectors(q, 2)
+        assert V.zero == (0, 0)
+        assert (V.unit(0), V.unit(1)) == ((1, 0), (0, 1))
+        vectors = list(itertools.product(range(q), repeat=2))
+        for u, v in itertools.product(vectors, repeat=2):
+            assert V.add(u, v) == tuple((a + b) % q for a, b in zip(u, v))
+            for c, d in itertools.product(range(q), repeat=2):
+                want = tuple((c * a + d * b) % q for a, b in zip(u, v))
+                assert V.combine((c, d), (u, v)) == want
+        # coefficients reduce mod q, and no pair at all gives zero
+        assert V.combine((q + 1, -1), (V.unit(0), V.unit(1))) == (1, q - 1)
+        assert V.combine((), ()) == V.zero
+        for k in (-1, 2):
+            with pytest.raises(IndexError):
+                V.unit(k)
+        with pytest.raises(ValueError):
+            V.add((1,), (1, 2))
+    assert Vectors(3, 4).unit(2) == (0, 0, 1, 0)
 
 
 # Hand-checked ranks over GF(2) and GF(3).
@@ -86,8 +95,7 @@ def test_in_span_reports_coefficients():
     target = (2, 4, 1)  # 2*row0 + 4*row1 = (2, 4, 4+12 mod 5 = 1)
     coeffs = in_span(target, rows, q)
     assert coeffs is not None
-    F = PrimeField(q)
-    assert F.vec_combine(coeffs, rows, 3) == target
+    assert Vectors(q, 3).combine(coeffs, rows) == target
     assert in_span((0, 0, 1), rows, q) is None
 
 
@@ -131,16 +139,16 @@ def test_in_span_matches_brute_force(q, n, m):
     data=st.data(),
 )
 def test_in_span_roundtrip(q, n, data):
-    F = PrimeField(q)
+    V = Vectors(q, n)
     vec = st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * n)
     rows = data.draw(st.lists(vec, min_size=0, max_size=4))
     coeffs = data.draw(
         st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * len(rows))
     )
-    target = F.vec_combine(coeffs, rows, n)
+    target = V.combine(coeffs, rows)
     got = in_span(target, rows, q)
     assert got is not None
-    assert F.vec_combine(got, rows, n) == target
+    assert V.combine(got, rows) == target
 
 
 @settings(max_examples=80, derandomize=True)
@@ -152,7 +160,7 @@ def test_in_span_roundtrip(q, n, data):
 def test_rank_invariant_under_row_ops(q, n, data):
     vec = st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * n)
     rows = data.draw(st.lists(vec, min_size=1, max_size=4))
-    F = PrimeField(q)
+    V = Vectors(q, n)
     base = rank(rows, q)
     # Adding a multiple of one row to another must not change the rank.
     i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
@@ -160,7 +168,7 @@ def test_rank_invariant_under_row_ops(q, n, data):
     c = data.draw(st.integers(min_value=0, max_value=q - 1))
     if i != j:
         mutated = list(rows)
-        mutated[i] = F.vec_add(rows[i], F.vec_scale(c, rows[j]))
+        mutated[i] = V.combine((1, c), (rows[i], rows[j]))
         assert rank(mutated, q) == base
     # The span never grows beyond min(#rows, n).
     assert base <= min(len(rows), n)
@@ -197,7 +205,7 @@ def test_in_span_matches_the_transposed_elimination(case, data):
     # a target in the span, one drawn freely, and the zero vector
     coeffs = [data.draw(entry) for _ in rows]
     targets = [
-        PrimeField(q).vec_combine(coeffs, rows, n),
+        Vectors(q, n).combine(coeffs, rows),
         tuple(data.draw(entry) for _ in range(n)),
         (0,) * n,
     ]
@@ -209,7 +217,7 @@ def test_in_span_matches_the_transposed_elimination(case, data):
 @given(rows_with_structure())
 def test_tuple_spans_are_the_reduced_row_echelon_basis(case):
     q, n, rows = case
-    arith = _Tuples(q, n)
+    arith = Vectors(q, n)
     basis = arith.zero_span
     for k, v in enumerate(rows):
         basis = arith.extend(basis, v)

@@ -8,7 +8,7 @@ from cut_oracle import cutset_infeasible_exhaustive
 from search_oracle import _search as reference_search
 
 from netcode_unicast.flows import connectivity_level, cutset_infeasible
-from netcode_unicast.gf import PrimeField
+from netcode_unicast.gf import Vectors
 from netcode_unicast.graph import build_instance
 from netcode_unicast.netcode import (
     LocalRule,
@@ -73,6 +73,12 @@ def test_classification_witnesses():
     assert classify_triple((3, 2, 2)).witness == "gen_232"
     assert classify_triple((1, 2, 3)).witness == "characterization-only"
     assert classify_triple((1, 3, 3)).witness is None
+
+
+def test_each_witness_generator_has_its_triple():
+    for triple, gen in oracle.WITNESSES.items():
+        assert classify_triple(triple).witness == gen.__name__
+        assert tuple(sorted(connectivity_level(gen()))) == triple
 
 
 def test_classification_permutation_field():
@@ -160,7 +166,6 @@ def test_gen_fig1_rates():
 
 def _naive_first_scalar(instance, q):
     """Reference: plain nested-loop enumeration, no memo, no pruning."""
-    F = PrimeField(q)
     order = instance.edges_in_topo_order()
     widths = []
     for eid in order:
@@ -570,11 +575,11 @@ def test_routing_blocks_pair_each_block_with_its_vector(n):
     "m, q, T, kind",
     [
         (1, 7, 1, oracle._Tables),  # 7**2 = 49 vectors
-        (2, 7, 1, oracle._Tuples),  # 7**3 = 343
+        (2, 7, 1, Vectors),  # 7**3 = 343
         (1, 13, 1, oracle._Tables),  # 13**2 = 169
-        (1, 17, 1, oracle._Tuples),  # 17**2 = 289
+        (1, 17, 1, Vectors),  # 17**2 = 289
         (1, 3, 2, oracle._Tables),  # 3**4 = 81
-        (2, 3, 2, oracle._Tuples),  # 3**6 = 729
+        (2, 3, 2, Vectors),  # 3**6 = 729
     ],
 )
 def test_table_and_tuple_arithmetic_match_the_reference(m, q, T, kind):
@@ -586,15 +591,15 @@ def test_table_and_tuple_arithmetic_match_the_reference(m, q, T, kind):
 def test_arithmetic_is_chosen_from_the_vector_count():
     assert type(oracle._arithmetic(2, 40)) is oracle._Xor
     assert type(oracle._arithmetic(3, 5)) is oracle._Tables  # 243 vectors
-    assert type(oracle._arithmetic(3, 6)) is oracle._Tuples  # 729
-    assert type(oracle._arithmetic(257, 1)) is oracle._Tuples
-    assert type(oracle._arithmetic(65537, 10**6)) is oracle._Tuples
+    assert type(oracle._arithmetic(3, 6)) is Vectors  # 729
+    assert type(oracle._arithmetic(257, 1)) is Vectors
+    assert type(oracle._arithmetic(65537, 10**6)) is Vectors
 
 
 @pytest.mark.parametrize("q, n_symbols", [(3, 1), (3, 2), (5, 2), (3, 5)])
 def test_tables_hold_field_sums_and_multiples(q, n_symbols):
     tables = oracle._Tables(q, n_symbols)
-    field = PrimeField(q)
+    V = Vectors(q, n_symbols)
 
     def digits(v):
         return tuple(v // q**k % q for k in range(n_symbols))
@@ -602,9 +607,9 @@ def test_tables_hold_field_sums_and_multiples(q, n_symbols):
     size = q**n_symbols
     for a in range(size):
         for b in range(size):
-            assert digits(tables.add[a][b]) == field.vec_add(digits(a), digits(b))
+            assert digits(tables.add[a][b]) == V.add(digits(a), digits(b))
         for c in range(q):
-            assert digits(tables.mul[a][c]) == field.vec_scale(c, digits(a))
+            assert digits(tables.mul[a][c]) == V.combine((c,), (digits(a),))
 
 
 @pytest.mark.parametrize(
@@ -613,9 +618,9 @@ def test_tables_hold_field_sums_and_multiples(q, n_symbols):
      (2, 3, True), (3, 2, True)],
 )
 def test_span_ids_are_equal_exactly_when_the_spans_are(q, n_symbols, tuples):
-    arith = oracle._Tuples(q, n_symbols) if tuples else oracle._arithmetic(q, n_symbols)
+    V = Vectors(q, n_symbols)
+    arith = V if tuples else oracle._arithmetic(q, n_symbols)
     rows = oracle._span_rows(arith)
-    field = PrimeField(q)
 
     def packed(v):
         # bit or base-q digit k holds coordinate k
@@ -629,7 +634,7 @@ def test_span_ids_are_equal_exactly_when_the_spans_are(q, n_symbols, tuples):
             for v in gens:
                 sid = rows[sid][packed(v)]
             span = frozenset(
-                field.vec_combine(c, gens, n_symbols) for c in product(range(q), repeat=n)
+                V.combine(c, gens) for c in product(range(q), repeat=n)
             )
             ids_of.setdefault(span, set()).add(sid)
     # one id per span, and no two spans share one

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from minimize_oracle import minimize_reference, prune_detour_reference, prune_reference
+from minimize_oracle import minimize_reference, prune_detour_reference
 from test_flows import random_dag_instance
 
 from netcode_unicast import constructors
@@ -35,7 +35,6 @@ from netcode_unicast.transform import (
     GADGET,
     MinimizeResult,
     _critical_edges,
-    _prune,
     internal_degree_ok,
     lift_code,
     minimize,
@@ -45,11 +44,11 @@ from netcode_unicast.transform import (
 
 
 def _prune_oracle(instance, target):
-    """Repeated-pass pruning, the reference for ``minimize`` and ``_prune``
-    at targets below max-flow: rebuild the instance without each candidate
-    edge (ascending id), recompute every max-flow anew, and pass
-    again until a pass removes nothing.  Returns the result and the edges
-    each pass removed."""
+    """Repeated-pass pruning, the reference for ``minimize`` at ``target``
+    equal to the connectivity vector: rebuild the instance without each
+    candidate edge (ascending id) while every max-flow stays >= its target,
+    recomputing them anew, and pass again until a pass removes nothing.
+    Returns the result and the edges each pass removed."""
     kept = list(range(instance.n_edges))
     passes: list[tuple[int, ...]] = []
     while not passes or passes[-1]:
@@ -68,20 +67,14 @@ def _prune_oracle(instance, target):
     return result, passes
 
 
-def assert_matches_oracle(instance, target=None):
+def assert_matches_oracle(instance):
     """Equal results from the component-marked detour pruning, the per-edge
     detour and path-cancelling prunings it replaced, and repeated-pass
     pruning."""
-    if target is None:
-        result = minimize(instance)
-        assert result == prune_detour_reference(instance)
-        assert result == minimize_reference(instance)
-        assert result == _prune_oracle(instance, connectivity_level(instance))[0]
-    else:
-        result = _prune(instance, target)
-        assert result == prune_detour_reference(instance, target)
-        assert result == prune_reference(instance, target)
-        assert result == _prune_oracle(instance, target)[0]
+    result = minimize(instance)
+    assert result == prune_detour_reference(instance)
+    assert result == minimize_reference(instance)
+    assert result == _prune_oracle(instance, connectivity_level(instance))[0]
 
 
 def test_minimize_fixpoint_on_disjoint_paths():
@@ -127,17 +120,6 @@ def test_minimize_keeps_connectivity_and_is_minimal():
         )
         levels = connectivity_level(sub)
         assert any(a < b for a, b in zip(levels, before))
-
-
-def test_prune_to_connectivity():
-    inst = build_instance(
-        [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")], [("s", "t")]
-    )
-    assert connectivity_level(inst) == (2,)
-    res = _prune(inst, (1,))
-    assert connectivity_level(res.instance) == (1,)
-    # ascending scan removed the s->a branch first
-    assert res.removed == (0, 2)
 
 
 def test_structure_noop_below_degree_limit():
@@ -393,12 +375,6 @@ def test_minimize_matches_oracle(inst):
     assert_matches_oracle(inst)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(instance_and_target())
-def test_prune_to_connectivity_matches_oracle(case):
-    assert_matches_oracle(*case)
-
-
 @st.composite
 def dag_and_target(draw):
     """Parallel edges, shared endpoints and sessions at max-flow 0 from
@@ -414,9 +390,8 @@ def dag_and_target(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(dag_and_target())
 def test_prune_matches_oracles_on_random_dags(case):
-    inst, target = case
+    inst, _ = case
     assert_matches_oracle(inst)
-    assert_matches_oracle(inst, target)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -473,9 +448,6 @@ SAMPLED = (
 def test_minimize_matches_oracle_on_sampled_suites(k):
     inst = SAMPLED[k]
     assert_matches_oracle(inst)
-    # one below max-flow in every session
-    target = tuple(level - 1 for level in connectivity_level(inst))
-    assert_matches_oracle(inst, target)
     shaped = structure(inst).instance
     assert minimize(shaped) == minimize_reference(shaped)
 
