@@ -44,7 +44,7 @@ from .oracle import (
     gen_23_rate21,
     gen_fig1,
 )
-from .transform import GADGET, minimize, structure
+from .transform import minimize, structure
 
 GENERATORS = {
     "fig1": gen_fig1,
@@ -110,8 +110,9 @@ def cmd_structure(args: argparse.Namespace) -> int:
         fh.write("# edge map: new id -> original id, 'gadget' for crossbar\n")
         for v in result.gadget_nodes:
             fh.write(f"node {inst.names[v]} gadget\n")
-        for new_id, old_id in enumerate(result.origin):
-            tag = "gadget" if old_id == GADGET else str(old_id)
+        # original edges keep their ids, crossbar edges come after them
+        for new_id in range(result.instance.n_edges):
+            tag = "gadget" if new_id >= inst.n_edges else str(new_id)
             fh.write(f"edge {new_id} {tag}\n")
     print(f"RESULT: gadgets {len(result.gadget_nodes)}")
     return 0
@@ -250,6 +251,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 1 if report.exhausted else 2
 
 
+def _dot_quoted(text: str) -> str:
+    """``text`` in DOT quotes, its backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_lines(inst: UnicastInstance, code: NetworkCode | None) -> list[str]:
     roles: dict[int, list[str]] = {}
     colors: dict[int, str] = {}
@@ -269,20 +275,21 @@ def _dot_lines(inst: UnicastInstance, code: NetworkCode | None) -> list[str]:
             ]
             labels[eid] = " | ".join(copies)
     lines = ["digraph instance {", "  rankdir=LR;"]
+    names = [_dot_quoted(name) for name in inst.names]
     for v in range(inst.n_nodes):
-        name = inst.names[v]
         attrs = []
         if v in roles:
-            attrs.append(f'label="{name} ({",".join(roles[v])})"')
+            role = ",".join(roles[v])
+            attrs.append("label=" + _dot_quoted(f"{inst.names[v]} ({role})"))
             attrs.append(f'color="{colors[v]}"')
             attrs.append("penwidth=2")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{name}"{suffix};')
+        lines.append(f"  {names[v]}{suffix};")
     for eid, (u, v) in enumerate(inst.edges):
         label = f"e{eid}"
         if eid in labels:
             label += f": {labels[eid]}"
-        lines.append(f'  "{inst.names[u]}" -> "{inst.names[v]}" [label="{label}"];')
+        lines.append(f"  {names[u]} -> {names[v]} [label={_dot_quoted(label)}];")
     lines.append("}")
     return lines
 

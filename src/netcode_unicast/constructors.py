@@ -45,7 +45,7 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
     for alpha in range(len(levels)):
         offset = n * instance.symbol_offsets()[alpha]
         for j, path in enumerate(edge_disjoint_paths(instance, alpha, n)):
-            for eid in path.edge_ids:
+            for eid in path:
                 # layer-alpha copy of a base edge carries symbol j untouched
                 plan[eid * n + alpha] = V.unit(offset + j)
     code = code_from_plan(instance, q, n, plan)
@@ -119,14 +119,14 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
             break
         spare = max(spares)
         unit = V.unit(off2 + pending.pop())
-        for eid in p2[spare].edge_ids:
+        for eid in p2[spare]:
             put(eid, unit)
         active.remove(spare)
 
     if pending:
         # every remaining path crosses P1; |active| == |pending| + 1
         ordered = sorted(
-            active, key=lambda i: p1.edge_ids.index(segments[i][0][0])
+            active, key=lambda i: p1.index(segments[i][0][0])
         )
         sums = [x1]
         for slot in pending:
@@ -139,7 +139,7 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
             shared.update(seg)
             inside = sums[rank + 1] if rank < last else x1
             feed = V.unit(off2 + pending[rank]) if rank < last else fed_total
-            path = p2[i].edge_ids
+            path = p2[i]
             start = path.index(seg[0])
             for eid in path[:start]:
                 put(eid, feed)
@@ -148,13 +148,13 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
             for eid in path[start + len(seg):]:
                 put(eid, inside)
         current = x1
-        for eid in p1.edge_ids:
+        for eid in p1:
             if eid in shared:
                 current = plan[eid]
             else:
                 put(eid, current)
     else:
-        for eid in p1.edge_ids:
+        for eid in p1:
             put(eid, x1)
     return plan
 
@@ -188,7 +188,7 @@ def assign_133(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Networ
             eid
             for i, k in ((a, 1), (b, 3), (c, 3))
             for path in edge_disjoint_paths(capped, i, k)
-            for eid in path.edge_ids
+            for eid in path
         }
     )
     sub, sub_to_capped = capped.keep_edges(union)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Container, Sequence
 
-from .graph import InstanceError, Path, UnicastInstance
+from .graph import InstanceError, UnicastInstance
 
 ConnectivityVector = tuple[int, ...]
 
@@ -186,8 +186,9 @@ def connectivity_level(instance: UnicastInstance) -> ConnectivityVector:
 
 def edge_disjoint_paths(
     instance: UnicastInstance, session: int, k: int | None = None
-) -> list[Path]:
-    """``k`` pairwise edge-disjoint session paths decomposed from a max flow.
+) -> list[tuple[int, ...]]:
+    """``k`` pairwise edge-disjoint session paths decomposed from a max flow,
+    each the tuple of its edge ids from source to terminal.
 
     ``k`` defaults to the max-flow value and may not exceed it.  The
     decomposition repeatedly walks from the source along the smallest-id
@@ -199,7 +200,7 @@ def edge_disjoint_paths(
         k = value
     if k > value:
         raise InstanceError(f"requested {k} paths but max-flow is {value}")
-    paths: list[Path] = []
+    paths: list[tuple[int, ...]] = []
     for _ in range(k):
         node = s.source
         trail: list[int] = []
@@ -208,7 +209,7 @@ def edge_disjoint_paths(
             flow[eid] -= 1
             trail.append(eid)
             node = instance.head(eid)
-        paths.append(Path(tuple(trail)))
+        paths.append(tuple(trail))
     return paths
 
 

@@ -124,12 +124,6 @@ class UnicastInstance:
     def head(self, eid: int) -> int:
         return self.edges[eid][1]
 
-    def node_id(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InstanceError(f"unknown node {name!r}") from None
-
     def edges_in_topo_order(self) -> list[int]:
         """Edge ids ordered so every edge appears after its tail's in-edges."""
         pos = [0] * self.n_nodes
@@ -171,49 +165,18 @@ class UnicastInstance:
     def with_sessions(self, sessions: Sequence[Session]) -> "UnicastInstance":
         return UnicastInstance(self.names, self.edges, tuple(sessions))
 
-    def keep_edges(self, keep: Iterable[int]) -> tuple["UnicastInstance", dict[int, int]]:
+    def keep_edges(self, keep: Iterable[int]) -> tuple["UnicastInstance", tuple[int, ...]]:
         """Sub-instance on a subset of edges.
 
         Node set and ids are unchanged; edges are renumbered densely in old id
-        order.  Returns the new instance and the map new id -> old id.
+        order.  Returns the new instance and the old id of each new id.
         """
-        kept = sorted(set(keep))
+        kept = tuple(sorted(set(keep)))
         for e in kept:
             if not 0 <= e < self.n_edges:
                 raise InstanceError(f"unknown edge id {e}")
         new_edges = tuple(self.edges[e] for e in kept)
-        mapping = {new: old for new, old in enumerate(kept)}
-        return UnicastInstance(self.names, new_edges, self.sessions), mapping
-
-
-@dataclass(frozen=True, slots=True)
-class Path:
-    """A directed path given as a tuple of consecutive edge ids."""
-
-    edge_ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
-    def nodes(self, instance: UnicastInstance) -> tuple[int, ...]:
-        if not self.edge_ids:
-            return ()
-        first = self.edge_ids[0]
-        out = [instance.tail(first)]
-        for e in self.edge_ids:
-            out.append(instance.head(e))
-        return tuple(out)
-
-    def validate(self, instance: UnicastInstance, source: int, terminal: int) -> None:
-        if not self.edge_ids:
-            raise InstanceError("empty path")
-        if instance.tail(self.edge_ids[0]) != source:
-            raise InstanceError("path does not start at the source")
-        if instance.head(self.edge_ids[-1]) != terminal:
-            raise InstanceError("path does not end at the terminal")
-        for a, b in zip(self.edge_ids, self.edge_ids[1:]):
-            if instance.head(a) != instance.tail(b):
-                raise InstanceError("path edges are not consecutive")
+        return UnicastInstance(self.names, new_edges, self.sessions), kept
 
 
 def build_instance(

@@ -205,20 +205,14 @@ def code_from_plan(
 # -- code file format -------------------------------------------------------
 
 
-def serialize_code(
-    code: NetworkCode, globals_table: tuple[Vector, ...] | None = None
-) -> str:
-    """Canonical text form: header, then one line per expanded edge, then an
-    optional global-vector dump."""
+def serialize_code(code: NetworkCode) -> str:
+    """Canonical text form: header, then one line per expanded edge."""
     lines = [f"field q={code.q}", f"vector T={code.T}"]
     for eid, rule in enumerate(code.rules):
         parts = [f"e{j}={c}" for j, c in rule.in_coeffs]
         parts += [f"x{k}={c}" for k, c in rule.src_coeffs]
         rhs = " " + " ".join(parts) if parts else ""
         lines.append(f"code {eid} :{rhs}")
-    if globals_table is not None:
-        for eid, vec in enumerate(globals_table):
-            lines.append(f"global {eid} : " + ",".join(str(c) for c in vec))
     return "\n".join(lines) + "\n"
 
 
@@ -278,7 +272,8 @@ def parse_code(text: str) -> tuple[NetworkCode, dict[int, Vector] | None]:
             raise CodeError(f"line {lineno}: unknown directive {kind!r}")
     if q is None or T is None:
         raise CodeError("missing 'field q=' or 'vector T=' header")
-    n_edges = max(rule_lines, default=-1) + 1
+    # sized by the lines, not by the largest id, which may be huge
+    n_edges = len(rule_lines)
     if sorted(rule_lines) != list(range(n_edges)):
         raise CodeError("code lines must cover edge ids 0..N-1 exactly")
     rules = tuple(rule_lines[eid] for eid in range(n_edges))
@@ -297,10 +292,6 @@ def load_code(path: str) -> tuple[NetworkCode, dict[int, Vector] | None]:
         return parse_code(fh.read())
 
 
-def save_code(
-    code: NetworkCode,
-    path: str,
-    globals_table: tuple[Vector, ...] | None = None,
-) -> None:
+def save_code(code: NetworkCode, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_code(code, globals_table))
+        fh.write(serialize_code(code))

@@ -90,19 +90,16 @@ TABLE_VECTORS = 256
 class Verdict:
     """Feasibility status of a three-session connectivity triple.
 
-    ``triple`` is the sorted form; ``permutation`` maps sorted positions back
-    to the original order (``triple[i] == original[permutation[i]]``).  For
-    feasible triples ``strategy`` is one of ``routing``, ``scalar``,
-    ``vector-T2``; for infeasible ones ``witness`` names the generator that
-    exhibits a counter-example, or ``characterization-only`` when only the
-    boundary argument applies.
+    ``triple`` is the sorted form.  For feasible triples ``strategy`` is one
+    of ``routing``, ``scalar``, ``vector-T2``; for infeasible ones
+    ``witness`` names the generator that exhibits a counter-example, or
+    ``characterization-only`` when only the boundary argument applies.
     """
 
     triple: tuple[int, int, int]
     feasible: bool
     strategy: str | None
     witness: str | None
-    permutation: tuple[int, int, int]
 
 
 def classify_triple(k: Sequence[int]) -> Verdict:
@@ -117,13 +114,12 @@ def classify_triple(k: Sequence[int]) -> Verdict:
         raise ValueError(f"expected a triple, got {len(ks)} entries")
     if any(not 1 <= x <= 3 for x in ks):
         raise ValueError(f"entries must lie in [1, 3], got {list(ks)}")
-    permutation = tuple(sorted(range(3), key=lambda i: (ks[i], i)))
-    s = tuple(ks[i] for i in permutation)
+    s = tuple(sorted(ks))
     if s[1] >= 3 and s[2] >= 3:
         strategy = "routing" if s == (3, 3, 3) else "vector-T2"
-        return Verdict(s, True, strategy, None, permutation)
+        return Verdict(s, True, strategy, None)
     witness = WITNESSES[s].__name__ if s in WITNESSES else "characterization-only"
-    return Verdict(s, False, None, witness, permutation)
+    return Verdict(s, False, None, witness)
 
 
 # ----------------------------------------------------------------- generators

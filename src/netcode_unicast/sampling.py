@@ -19,15 +19,8 @@ __all__ = ["sample_1m", "sample_uniform", "sample_triple"]
 PathId = tuple[int, int]  # (session index, chain index)
 
 
-def _rng(seed: int | random.Random) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
-
-
 def _weave_build(
-    rng: random.Random,
-    chains: Sequence[int],
-    rates: Sequence[int],
-    weave_prob: float,
+    seed: int, chains: Sequence[int], rates: Sequence[int], weave_prob: float
 ) -> UnicastInstance:
     """Chains plus pairwise crossings, acyclic by a global crossing order.
 
@@ -35,6 +28,7 @@ def _weave_build(
     most once.  Every chain visits its crossings in ascending global rank,
     so every edge moves forward in rank order and the graph stays acyclic.
     """
+    rng = random.Random(seed)
     paths = [(i, j) for i, count in enumerate(chains) for j in range(count)]
     weaves: list[tuple[PathId, PathId]] = []
     for pi, p in enumerate(paths):
@@ -87,7 +81,7 @@ def _weave_build(
     return build_instance(edges, sessions)
 
 
-def sample_1m(seed: int | random.Random, m: int, weave_prob: float = 0.6) -> UnicastInstance:
+def sample_1m(seed: int, m: int) -> UnicastInstance:
     """Random minimal structured two-session instance, rates {1, m},
     connectivity [1, m+1].
 
@@ -97,22 +91,18 @@ def sample_1m(seed: int | random.Random, m: int, weave_prob: float = 0.6) -> Uni
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _weave_build(_rng(seed), (1, m + 1), (1, m), weave_prob)
+    return _weave_build(seed, (1, m + 1), (1, m), 0.6)
 
 
-def sample_uniform(seed: int | random.Random, n: int, weave_prob: float = 0.35) -> UnicastInstance:
+def sample_uniform(seed: int, n: int) -> UnicastInstance:
     """Random n-session unit-rate instance with connectivity [n, ..., n]."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _weave_build(_rng(seed), (n,) * n, (1,) * n, weave_prob)
+    return _weave_build(seed, (n,) * n, (1,) * n, 0.35)
 
 
-def sample_triple(
-    seed: int | random.Random,
-    triple: Sequence[int],
-    weave_prob: float = 0.45,
-) -> UnicastInstance:
+def sample_triple(seed: int, triple: Sequence[int]) -> UnicastInstance:
     """Random three-session unit-rate instance with the given connectivity."""
     if len(triple) != 3 or any(k < 1 for k in triple):
         raise ValueError("triple must hold three values of at least 1")
-    return _weave_build(_rng(seed), tuple(triple), (1, 1, 1), weave_prob)
+    return _weave_build(seed, tuple(triple), (1, 1, 1), 0.45)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flows import _augment, _residual_components, _unit_flow
-from .graph import Path, UnicastInstance, _fresh_name
+from .graph import UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, verify_code
 
 
@@ -81,27 +81,22 @@ def minimize(instance: UnicastInstance) -> MinimizeResult:
                 break
         else:
             removed.append(eid)
-    kept = [e for e in range(instance.n_edges) if caps[e]]
-    final, _ = instance.keep_edges(kept)
-    return MinimizeResult(final, tuple(removed), tuple(kept))
+    final, kept = instance.keep_edges(e for e in range(instance.n_edges) if caps[e])
+    return MinimizeResult(final, tuple(removed), kept)
 
 
 # -- degree-3 structuring ----------------------------------------------------
-
-GADGET = -1  # origin marker for gadget-internal edges
-
 
 @dataclass(frozen=True)
 class StructuredInstance:
     """Result of degree reduction.
 
-    Original edges keep their ids.  ``origin`` maps each new edge back to
-    its original id, or ``GADGET`` for crossbar-internal edges.
-    ``gadget_nodes`` lists the replaced node ids of the original instance.
+    Original edges keep their ids; every id at or above the original edge
+    count is a crossbar-internal edge.  ``gadget_nodes`` lists the replaced
+    node ids of the original instance.
     """
 
     instance: UnicastInstance
-    origin: tuple[int, ...]
     gadget_nodes: tuple[int, ...]
 
 
@@ -121,7 +116,6 @@ def structure(instance: UnicastInstance) -> StructuredInstance:
     names = list(instance.names)
     taken = set(names)
     edges: list[tuple[int, int]] = list(instance.edges)
-    origin: list[int] = list(range(instance.n_edges))
     gadget_nodes: list[int] = []
 
     for v in range(instance.n_nodes):
@@ -156,16 +150,13 @@ def structure(instance: UnicastInstance) -> StructuredInstance:
         for a in range(rows):
             for b in range(cols):
                 edges.append((merge[a][b], fork[a][b]))
-                origin.append(GADGET)
                 if b + 1 < cols:
                     edges.append((fork[a][b], merge[a][b + 1]))
-                    origin.append(GADGET)
                 if a + 1 < rows:
                     edges.append((fork[a][b], merge[a + 1][b]))
-                    origin.append(GADGET)
 
     structured = UnicastInstance(tuple(names), tuple(edges), instance.sessions)
-    return StructuredInstance(structured, tuple(origin), tuple(gadget_nodes))
+    return StructuredInstance(structured, tuple(gadget_nodes))
 
 
 def internal_degree_ok(instance: UnicastInstance) -> bool:
@@ -219,17 +210,18 @@ def lift_code(
 # -- overlap segments --------------------------------------------------------
 
 
-def overlap_segments(p: Path, q: Path) -> list[tuple[int, ...]]:
-    """Maximal runs of edges shared by two paths, each in path order.
+def overlap_segments(p: tuple[int, ...], q: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Maximal runs of edges shared by two paths of edge ids, each in path
+    order.
 
     On directed paths of a DAG, edges adjacent in one path and shared by the
     other are adjacent in the other as well, so maximal runs are identical
     viewed from either path.
     """
-    shared = set(p.edge_ids) & set(q.edge_ids)
+    shared = set(p) & set(q)
     segments: list[tuple[int, ...]] = []
     run: list[int] = []
-    for eid in p.edge_ids:
+    for eid in p:
         if eid in shared:
             run.append(eid)
         elif run:

@@ -42,7 +42,7 @@ def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
             eid
             for i, k in ((a, 1), (b, 3), (c, 3))
             for path in edge_disjoint_paths(capped, i, k)
-            for eid in path.edge_ids
+            for eid in path
         }
     )
     sub, sub_to_capped = capped.keep_edges(union)

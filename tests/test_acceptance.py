@@ -252,7 +252,7 @@ def test_criterion_8_invariant_suites():
             k = max_flow(inst, sess)
             paths = edge_disjoint_paths(inst, sess)
             assert len(paths) == k
-            used = [e for p in paths for e in p.edge_ids]
+            used = [e for p in paths for e in p]
             assert len(used) == len(set(used))
         cases += 1
 

@@ -33,7 +33,7 @@ from netcode_unicast import (
 from netcode_unicast import constructors, flows, netcode, oracle, transform
 from netcode_unicast.cli import main
 from netcode_unicast.netcode import TerminalReport
-from test_netcode import BUTTERFLY, BUTTERFLY_CODE
+from test_netcode import BUTTERFLY, BUTTERFLY_CODE, with_global_lines
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -187,7 +187,7 @@ def test_analyze_witness_past_the_cut_guard(gen, relays, cut, tmp_path):
     assert set(fields["nodes"].split(",")) == PAST_GUARD_WITNESS_NODES[gen]
     CutWitness(
         sessions=tuple(int(i) - 1 for i in fields["sessions"].split(",")),
-        nodes=tuple(sorted(inst.node_id(n) for n in fields["nodes"].split(","))),
+        nodes=tuple(sorted(inst.names.index(n) for n in fields["nodes"].split(","))),
         cut_edges=tuple(int(e) for e in fields["edges"].split(",")),
         capacity=int(fields["capacity"]),
         required_rate=int(fields["rate"]),
@@ -294,6 +294,13 @@ def test_minimize_drops_redundant_edge_and_maps_back(tmp_path):
     # map entries are new-id ascending and reference real original ids
     assert [int(k[1]) for k in kept] == list(range(len(kept)))
     assert all(0 <= int(k[2]) < padded.n_edges for k in kept)
+    # the padded copy is edge 21; its twin, edge 20, is scanned first and goes
+    assert padded.n_edges == 22
+    assert map_lines == (
+        ["# edge map: new id -> original id"]
+        + [f"edge {i} {i}" for i in range(20)]
+        + ["edge 20 21", "removed 20"]
+    )
 
 
 def test_structure_reduces_wide_hub(tmp_path):
@@ -318,9 +325,12 @@ def test_structure_reduces_wide_hub(tmp_path):
         if any(s.source == v or s.terminal == v for s in shaped.sessions):
             continue
         assert len(shaped.in_edges[v]) + len(shaped.out_edges[v]) <= 3
-    map_text = (tmp_path / "hub.str.map").read_text()
-    assert "node h gadget" in map_text
-    assert "gadget\n" in map_text
+    # the hub's six edges keep their ids; its 3x3 crossbar adds 21 after them
+    assert (tmp_path / "hub.str.map").read_text().splitlines() == (
+        ["# edge map: new id -> original id, 'gadget' for crossbar", "node h gadget"]
+        + [f"edge {i} {i}" for i in range(6)]
+        + [f"edge {i} gadget" for i in range(6, 27)]
+    )
 
 
 def _build(edges, pairs):
@@ -535,11 +545,23 @@ def test_verify_malformed_code_exits_2(fig2b, tmp_path):
     assert err.startswith("error:")
 
 
-def _butterfly_files(tmp_path, globals_table=None):
+def test_verify_huge_code_edge_id_exits_2(fig1, tmp_path):
+    # refused by its line count; sized by the id it would need 2**62 slots
+    code_path = tmp_path / "huge.code"
+    code_path.write_text(f"field q=2\nvector T=1\ncode {2**62} :\n")
+    rc, out, err = run_cli("verify", fig1, str(code_path))
+    assert (rc, out) == (2, "")
+    assert err == "error: code lines must cover edge ids 0..N-1 exactly\n"
+
+
+def _butterfly_files(tmp_path, vectors=None):
     src = tmp_path / "butterfly.txt"
     code_path = tmp_path / "butterfly.code"
     save_instance(BUTTERFLY, str(src))
-    code_path.write_text(serialize_code(BUTTERFLY_CODE, globals_table))
+    if vectors is None:
+        code_path.write_text(serialize_code(BUTTERFLY_CODE))
+    else:
+        code_path.write_text(with_global_lines(BUTTERFLY_CODE, vectors))
     return str(src), code_path
 
 
@@ -578,7 +600,7 @@ def test_verify_expands_the_instance_once(tmp_path, monkeypatch):
     code = assign_133(inst)
     src, code_path = str(tmp_path / "t.txt"), tmp_path / "t.code"
     save_instance(inst, src)
-    code_path.write_text(serialize_code(code, propagate(inst, code)))
+    code_path.write_text(with_global_lines(code, propagate(inst, code)))
     calls = []
     real = netcode.expand_time
 
@@ -808,6 +830,23 @@ def test_export_dot_structure(fig1):
     assert len(arrows) == inst.n_edges
     assert '"s1" [label="s1 (s1)", color="crimson", penwidth=2];' in out
     assert run_cli("export-dot", fig1) == (rc, out, "")
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path):
+    src = tmp_path / "odd.txt"
+    src.write_text('session 1 s"1 t\\\nedge s"1 a\nedge a t\\\n')
+    rc, out, _ = run_cli("export-dot", str(src))
+    assert rc == 0
+    assert out.splitlines() == [
+        "digraph instance {",
+        "  rankdir=LR;",
+        '  "s\\"1" [label="s\\"1 (s1)", color="crimson", penwidth=2];',
+        '  "a";',
+        '  "t\\\\" [label="t\\\\ (t1)", color="crimson", penwidth=2];',
+        '  "s\\"1" -> "a" [label="e0"];',
+        '  "a" -> "t\\\\" [label="e1"];',
+        "}",
+    ]
 
 
 def test_export_dot_with_code_labels(fig1, tmp_path):

@@ -18,6 +18,21 @@ from netcode_unicast.flows import (
 )
 from netcode_unicast.graph import InstanceError, Session, UnicastInstance, build_instance
 
+def path_nodes(inst, path):
+    """The nodes a non-empty path of edge ids visits, in order."""
+    return (inst.tail(path[0]),) + tuple(inst.head(e) for e in path)
+
+
+def check_path(inst, path, source, terminal):
+    """``path`` is a non-empty walk of consecutive edges from ``source`` to
+    ``terminal``."""
+    assert path, "empty path"
+    assert inst.tail(path[0]) == source, "path does not start at the source"
+    assert inst.head(path[-1]) == terminal, "path does not end at the terminal"
+    for a, b in zip(path, path[1:]):
+        assert inst.head(a) == inst.tail(b), "path edges are not consecutive"
+
+
 BUTTERFLY = build_instance(
     [
         ("s1", "a"),
@@ -65,15 +80,14 @@ def test_disconnected_session():
 
 def test_edge_disjoint_paths_deterministic():
     paths = edge_disjoint_paths(BUTTERFLY, 0)
-    assert [p.edge_ids for p in paths] == [(0, 4, 5)]
+    assert paths == [(0, 4, 5)]
     diamond = build_instance(
         [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")], [("s", "t")]
     )
     paths = edge_disjoint_paths(diamond, 0)
     # smallest-id walk first: s->a->t before s->b->t
-    assert [p.edge_ids for p in paths] == [(0, 2), (1, 3)]
-    again = edge_disjoint_paths(diamond, 0)
-    assert [p.edge_ids for p in paths] == [p.edge_ids for p in again]
+    assert paths == [(0, 2), (1, 3)]
+    assert edge_disjoint_paths(diamond, 0) == paths
 
 
 def test_edge_disjoint_paths_contract():
@@ -84,9 +98,9 @@ def test_edge_disjoint_paths_contract():
         seen: set[int] = set()
         s = BUTTERFLY.sessions[session]
         for p in paths:
-            p.validate(BUTTERFLY, s.source, s.terminal)
-            assert not seen & set(p.edge_ids)
-            seen |= set(p.edge_ids)
+            check_path(BUTTERFLY, p, s.source, s.terminal)
+            assert not seen & set(p)
+            seen |= set(p)
     assert edge_disjoint_paths(BUTTERFLY, 0, 0) == []
     with pytest.raises(InstanceError, match="max-flow"):
         edge_disjoint_paths(BUTTERFLY, 0, 3)
@@ -124,7 +138,7 @@ def test_cut_witness_found_and_valid():
     assert w.sessions == (0, 1, 2)
     # the bottleneck pair v1->a, v2->b
     assert w.cut_edges == (6, 7)
-    assert set(w.nodes) == {inst.node_id(n) for n in ("s1", "s2", "s3", "v1", "v2")}
+    assert set(w.nodes) == {inst.names.index(n) for n in ("s1", "s2", "s3", "v1", "v2")}
     w.validate(inst)
 
 
@@ -140,7 +154,7 @@ def test_witness_is_first_among_incomparable_violating_sets():
     w = cutset_infeasible(inst)
     assert w == CutWitness(
         sessions=(0,),
-        nodes=(inst.node_id("s"), inst.node_id("a")),
+        nodes=(inst.names.index("s"), inst.names.index("a")),
         cut_edges=(1,),
         capacity=1,
         required_rate=2,
@@ -157,7 +171,7 @@ def test_no_witness_on_feasible_instance():
 def test_witness_validate_rejects_garbage():
     inst = shared_bottleneck()
     bad = CutWitness(
-        sessions=(0,), nodes=(inst.node_id("s1"),), cut_edges=(), capacity=0,
+        sessions=(0,), nodes=(inst.names.index("s1"),), cut_edges=(), capacity=0,
         required_rate=1,
     )
     with pytest.raises(InstanceError):
@@ -189,7 +203,7 @@ def test_witness_past_the_guard_comes_from_the_min_cut():
     w.validate(inst)
     assert (w.capacity, w.required_rate, w.sessions) == (2, 3, (0, 1, 2))
     want = ("s1", "s2", "s3", "v1", "v2")
-    assert w.nodes == tuple(sorted(inst.node_id(n) for n in want))
+    assert w.nodes == tuple(sorted(inst.names.index(n) for n in want))
 
 
 def test_deep_first_witness_costs_one_max_flow_per_node(monkeypatch):
@@ -214,7 +228,7 @@ def test_deep_first_witness_costs_one_max_flow_per_node(monkeypatch):
     w = cutset_infeasible(inst)
     assert w == CutWitness(
         sessions=(0,),
-        nodes=tuple(inst.node_id(n) for n in ladder),
+        nodes=tuple(inst.names.index(n) for n in ladder),
         cut_edges=(42,),
         capacity=1,
         required_rate=2,
@@ -296,9 +310,9 @@ def test_menger_equivalence(inst):
         assert len(paths) == k
         seen: set[int] = set()
         for p in paths:
-            p.validate(inst, s.source, s.terminal)
-            assert not seen & set(p.edge_ids)
-            seen |= set(p.edge_ids)
+            check_path(inst, p, s.source, s.terminal)
+            assert not seen & set(p)
+            seen |= set(p)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

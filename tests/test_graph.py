@@ -5,7 +5,6 @@ import pytest
 from netcode_unicast.flows import connectivity_level
 from netcode_unicast.graph import (
     InstanceError,
-    Path,
     Session,
     UnicastInstance,
     _valid_name,
@@ -122,21 +121,10 @@ def test_keep_edges_renumbers_densely():
     inst = build_instance(
         [("s", "a"), ("a", "t"), ("s", "t")], [("s", "t")]
     )
-    sub, mapping = inst.keep_edges([2, 0])
+    sub, kept = inst.keep_edges([2, 0])
     assert sub.edges == ((0, 1), (0, 2))
-    assert mapping == {0: 0, 1: 2}
+    assert kept == (0, 2)
     assert sub.names == inst.names
-
-
-def test_path_validation():
-    inst = build_instance([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t")])
-    p = Path((0, 1))
-    p.validate(inst, inst.node_id("s"), inst.node_id("t"))
-    assert p.nodes(inst) == (0, 1, 2)
-    with pytest.raises(InstanceError):
-        Path((1, 0)).validate(inst, 0, 2)
-    with pytest.raises(InstanceError):
-        Path(()).validate(inst, 0, 2)
 
 
 def test_attach_endpoints_adds_width_many_edges():
@@ -149,7 +137,7 @@ def test_attach_endpoints_adds_width_many_edges():
     assert capped.names == inst.names + ("~s1", "~t1", "~s2", "~t2")
     # original edges keep their ids; per session, width edges into the old
     # source, then width edges out of the old terminal
-    s1, s2, t1, x = (inst.node_id(v) for v in ("s1", "s2", "t1", "x"))
+    s1, s2, t1, x = (inst.names.index(v) for v in ("s1", "s2", "t1", "x"))
     assert capped.edges[:3] == inst.edges
     assert capped.edges[3:] == ((4, s1), (t1, 5), (6, s2), (6, s2), (x, 7), (x, 7))
     assert capped.sessions == (Session(4, 5, 1), Session(6, 7, 2))

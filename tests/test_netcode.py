@@ -48,6 +48,13 @@ BUTTERFLY_CODE = NetworkCode(
 )
 
 
+def with_global_lines(code, vectors):
+    """``code``'s file text plus a ``global`` line per expanded edge, which
+    ``parse_code`` reads and ``verify`` checks but the package never writes."""
+    lines = [f"global {eid} : " + ",".join(map(str, vec)) for eid, vec in enumerate(vectors)]
+    return serialize_code(code) + "\n".join(lines) + "\n"
+
+
 def test_propagate_butterfly():
     vectors = propagate(BUTTERFLY, BUTTERFLY_CODE)
     assert vectors[0] == (1, 0)
@@ -178,7 +185,7 @@ def test_code_file_roundtrip():
 
 def test_code_file_with_globals():
     vectors = propagate(BUTTERFLY, BUTTERFLY_CODE)
-    text = serialize_code(BUTTERFLY_CODE, vectors)
+    text = with_global_lines(BUTTERFLY_CODE, vectors)
     code, globals_table = parse_code(text)
     assert code == BUTTERFLY_CODE
     assert globals_table == {e: vectors[e] for e in range(7)}

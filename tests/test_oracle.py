@@ -81,13 +81,6 @@ def test_each_witness_generator_has_its_triple():
         assert tuple(sorted(connectivity_level(gen()))) == triple
 
 
-def test_classification_permutation_field():
-    v = classify_triple((3, 2, 2))
-    assert v.triple == (2, 2, 3)
-    assert v.permutation == (1, 2, 0)
-    assert tuple((3, 2, 2)[i] for i in v.permutation) == v.triple
-
-
 def test_classification_permutation_invariant():
     for k in ALL_TRIPLES:
         base = classify_triple(k)
@@ -129,7 +122,7 @@ def test_gen_222_cut_witness():
     w = cutset_infeasible(inst)
     assert w is not None
     assert w.capacity == 2 and w.required_rate == 3
-    assert set(w.nodes) == {inst.node_id(n) for n in ("s1", "s2", "s3", "v1", "v2")}
+    assert set(w.nodes) == {inst.names.index(n) for n in ("s1", "s2", "s3", "v1", "v2")}
     w.validate(inst)
 
 
@@ -138,7 +131,7 @@ def test_gen_113_cut_witness():
     w = cutset_infeasible(inst)
     assert w is not None
     assert w.capacity == 1 and w.required_rate == 2
-    assert set(w.nodes) == {inst.node_id(n) for n in ("s1", "s2", "v1")}
+    assert set(w.nodes) == {inst.names.index(n) for n in ("s1", "s2", "v1")}
     w.validate(inst)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from minimize_oracle import minimize_reference, prune_detour_reference
-from test_flows import random_dag_instance
+from test_flows import path_nodes, random_dag_instance
 
 from netcode_unicast import constructors
 from netcode_unicast.constructors import assign_133
@@ -16,7 +16,6 @@ from netcode_unicast.flows import (
     max_flow,
 )
 from netcode_unicast.graph import (
-    Path,
     Session,
     UnicastInstance,
     attach_endpoints,
@@ -32,7 +31,6 @@ from netcode_unicast.netcode import (
 )
 from netcode_unicast.sampling import sample_1m, sample_triple, sample_uniform
 from netcode_unicast.transform import (
-    GADGET,
     MinimizeResult,
     _critical_edges,
     internal_degree_ok,
@@ -62,8 +60,8 @@ def _prune_oracle(instance, target):
                 dropped.append(eid)
         passes.append(tuple(dropped))
     removed = tuple(e for dropped in passes for e in dropped)
-    final, mapping = instance.keep_edges(kept)
-    result = MinimizeResult(final, removed, tuple(mapping[i] for i in range(len(kept))))
+    final, edge_map = instance.keep_edges(kept)
+    result = MinimizeResult(final, removed, edge_map)
     return result, passes
 
 
@@ -129,7 +127,6 @@ def test_structure_noop_below_degree_limit():
     res = structure(inst)
     assert res.gadget_nodes == ()
     assert res.instance == inst
-    assert all(o != GADGET for o in res.origin)
 
 
 def high_degree_hub():
@@ -150,15 +147,14 @@ def high_degree_hub():
 def test_structure_replaces_hub():
     inst = high_degree_hub()
     res = structure(inst)
-    assert res.gadget_nodes == (inst.node_id("v"),)
+    assert res.gadget_nodes == (inst.names.index("v"),)
     assert internal_degree_ok(res.instance)
     assert connectivity_level(res.instance) == connectivity_level(inst) == (1, 1, 1)
     # original edges keep their ids; the hub edges were re-attached
-    assert res.origin[:6] == tuple(range(6))
-    assert res.instance.edges[0][0] == inst.node_id("s1")
-    assert res.instance.edges[3][1] == inst.node_id("t1")
-    # 3x3 grid: 9 cells = 9 internal edges + 6 right + 6 down
-    assert sum(1 for o in res.origin if o == GADGET) == 21
+    assert res.instance.edges[0][0] == inst.names.index("s1")
+    assert res.instance.edges[3][1] == inst.names.index("t1")
+    # 3x3 grid: 9 cells = 9 internal edges + 6 right + 6 down, after the 6
+    assert res.instance.n_edges == 6 + 21
 
 
 def test_structure_preserves_multiflow():
@@ -199,7 +195,7 @@ def test_structured_paths_are_vertex_disjoint():
     s = res.instance.sessions[0]
     interiors = []
     for p in paths:
-        nodes = p.nodes(res.instance)
+        nodes = path_nodes(res.instance, p)
         assert nodes[0] == s.source and nodes[-1] == s.terminal
         interiors.append(set(nodes[1:-1]))
     assert not interiors[0] & interiors[1]
@@ -249,7 +245,7 @@ def test_lift_through_gadget():
     paths = [edge_disjoint_paths(res.instance, i, 1)[0] for i in range(3)]
     plan = {}
     for i, p in enumerate(paths):
-        for eid in p.edge_ids:
+        for eid in p:
             vec = [0, 0, 0]
             vec[i] = 1
             assert eid not in plan
@@ -274,10 +270,9 @@ def test_overlap_segments_basic():
     inst = build_instance(
         [("a", "b"), ("b", "c"), ("c", "d")], [("a", "d")]
     )
-    p = Path((0, 1, 2))
+    p = (0, 1, 2)
     assert overlap_segments(p, p) == [(0, 1, 2)]
-    q = Path((0,))
-    assert overlap_segments(Path((1, 2)), q) == []
+    assert overlap_segments((1, 2), (0,)) == []
 
 
 def test_overlap_segments_two_runs():
@@ -296,8 +291,8 @@ def test_overlap_segments_two_runs():
         ],
         [("s", "t"), ("q0", "q1")],
     )
-    p = Path((0, 1, 2, 3, 4))
-    q = Path((5, 1, 6, 7, 3, 8))
+    p = (0, 1, 2, 3, 4)
+    q = (5, 1, 6, 7, 3, 8)
     segs = overlap_segments(p, q)
     assert segs == [(1,), (3,)]
     # maximality: no shared edge enters the first segment's tail or leaves
@@ -305,7 +300,7 @@ def test_overlap_segments_two_runs():
     for seg in segs:
         first_tail = inst.tail(seg[0])
         last_head = inst.head(seg[-1])
-        shared = set(p.edge_ids) & set(q.edge_ids)
+        shared = set(p) & set(q)
         assert not any(e in shared for e in inst.in_edges[first_tail] if e not in seg)
         assert not any(e in shared for e in inst.out_edges[last_head] if e not in seg)
 
@@ -353,7 +348,7 @@ def test_structure_random_postconditions(raw):
     # per-session edge-disjoint paths are internally vertex-disjoint
     for i in range(len(inst.sessions)):
         paths = edge_disjoint_paths(res.instance, i)
-        interiors = [set(p.nodes(res.instance)[1:-1]) for p in paths]
+        interiors = [set(path_nodes(res.instance, p)[1:-1]) for p in paths]
         for a in range(len(interiors)):
             for b in range(a + 1, len(interiors)):
                 assert not interiors[a] & interiors[b]
@@ -471,3 +466,29 @@ def test_minimize_matches_oracle_inside_assign_133(seed, triple, monkeypatch):
     # per layer: minimize before and after structuring; the trimmed layer is
     # already minimal, so nothing minimizes it again
     assert len(layers) == 4
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(random_dag_instance())
+def test_structure_keeps_every_original_edge_id(inst):
+    # the id rule the structure .map sidecar, assign_133 and lift_code share:
+    # input edge e is edge e of the result, between its own endpoints or
+    # crossbar nodes of a replaced one, and every later id is crossbar-internal
+    res = structure(inst)
+    shaped, replaced = res.instance, set(res.gadget_nodes)
+
+    def crossbar_of(node):
+        """The replaced input node a new node belongs to, by its name."""
+        assert node >= inst.n_nodes
+        return inst.names.index(shaped.names[node].split("~")[0])
+
+    def stands_for(new, old):
+        return crossbar_of(new) == old if old in replaced else new == old
+
+    assert shaped.names[: inst.n_nodes] == inst.names
+    assert all(crossbar_of(x) in replaced for x in range(inst.n_nodes, shaped.n_nodes))
+    for (u, v), (new_u, new_v) in zip(inst.edges, shaped.edges):
+        assert stands_for(new_u, u) and stands_for(new_v, v)
+    for u, v in shaped.edges[inst.n_edges :]:
+        assert crossbar_of(u) in replaced
+        assert crossbar_of(v) == crossbar_of(u)
