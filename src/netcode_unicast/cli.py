@@ -15,8 +15,9 @@ import functools
 import sys
 from typing import Sequence
 
-from .constructors import assign_1m, assign_133, route_uniform
+from .constructors import NotApplicable, assign_1m, assign_133, route_uniform
 from .flows import CutWitness, connectivity_level, cutset_infeasible
+from .gf import _checked_prime
 from .graph import (
     InstanceError,
     UnicastInstance,
@@ -118,51 +119,33 @@ def cmd_structure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pick_construction(inst: UnicastInstance, q: int) -> NetworkCode | int:
-    """Route the instance to a construction, or return an exit status."""
+def cmd_code(args: argparse.Namespace) -> int:
+    _checked_prime(args.q)
+    inst = load_instance(args.instance)
     levels = connectivity_level(inst)
-    rates = tuple(s.rate for s in inst.sessions)
-    n = len(levels)
-    unit = all(r == 1 for r in rates)
-    ranked = sorted(levels)
-    # a max-flow below its rate is a violated cut; three unit sessions below
-    # [1,3,3] at levels within 3 are called infeasible only with a violated
-    # cut, as the classification speaks only of some instance at those levels
-    if any(k < r for k, r in zip(levels, rates)) or (
-        n == 3 and unit and ranked[1] < 3 and ranked[2] <= 3
-    ):
-        witness = cutset_infeasible(inst, _levels=levels)
-        if witness is not None:
-            print("RESULT: infeasible (violated cut)")
-            _print_witness(inst, witness)
+    # each constructor says whether the instance is in its range
+    for construct in (route_uniform, assign_1m, assign_133):
+        try:
+            code = construct(inst, args.q, _levels=levels)
+        except NotApplicable:
+            continue
+        except CodeError as exc:
+            print(f"RESULT: construction failed: {exc}")
             return 1
-    # each constructor checks these levels instead of computing them again
-    if len(set(levels)) == 1 and unit and n <= levels[0]:
-        return route_uniform(inst, q, _levels=levels)
-    if n == 2 and rates[0] == 1 and levels == (1, rates[1] + 1):
-        return assign_1m(inst, q, _levels=levels)
-    if n == 3 and unit and ranked[1] >= 3:
-        return assign_133(inst, q, _levels=levels)
+        # every constructor raises CodeError unless its code verifies
+        for i in range(len(inst.sessions)):
+            print(f"terminal {i + 1}: pass")
+        save_code(code, args.output)
+        print(f"CODE: {args.output}")
+        print(f"RESULT: code q={code.q} T={code.T} written {args.output}")
+        return 0
+    witness = cutset_infeasible(inst, _levels=levels)
+    if witness is not None:
+        print("RESULT: infeasible (violated cut)")
+        _print_witness(inst, witness)
+        return 1
     print(f"RESULT: no applicable construction for connectivity {_fmt_vec(levels)}")
     return 1
-
-
-def cmd_code(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    try:
-        picked = _pick_construction(inst, args.q)
-    except CodeError as exc:
-        print(f"RESULT: construction failed: {exc}")
-        return 1
-    if isinstance(picked, int):
-        return picked
-    # every constructor raises CodeError unless its code verifies
-    for i in range(len(inst.sessions)):
-        print(f"terminal {i + 1}: pass")
-    save_code(picked, args.output)
-    print(f"CODE: {args.output}")
-    print(f"RESULT: code q={picked.q} T={picked.T} written {args.output}")
-    return 0
 
 
 def _decoder_terms(report_edges: tuple[int, ...], vec: Sequence[int]) -> str:

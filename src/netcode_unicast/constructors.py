@@ -9,6 +9,10 @@ segments, and a T=2 construction for three unit-rate sessions with sorted
 connectivity at least [1, 3, 3] that plans the scalar construction once per
 time layer on a capped subgraph and maps each planned vector back to the
 original edges through the stage edge maps.
+
+Each constructor alone decides its range: out-of-range input (session
+count, rates, levels) raises :class:`NotApplicable`, and any other refusal
+is a plain ``CodeError``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,11 @@ from .graph import Session, UnicastInstance, attach_endpoints
 from .netcode import CodeError, NetworkCode, code_from_plan, is_routing, verify_code
 from .transform import internal_degree_ok, minimize, overlap_segments, structure
 
-__all__ = ["route_uniform", "assign_1m", "assign_133"]
+__all__ = ["NotApplicable", "route_uniform", "assign_1m", "assign_133"]
+
+
+class NotApplicable(CodeError):
+    """The instance lies outside the construction's range."""
 
 
 def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> NetworkCode:
@@ -32,13 +40,11 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
     levels = _levels or connectivity_level(instance)
     n = levels[0]
     if any(v != n for v in levels):
-        raise CodeError(f"uniform connectivity required, found {list(levels)}")
+        raise NotApplicable(f"uniform connectivity required, found {list(levels)}")
     if any(s.rate != 1 for s in instance.sessions):
-        raise CodeError("unit session rates required")
+        raise NotApplicable("unit session rates required")
     if len(levels) > n:
-        raise CodeError(
-            f"{len(levels)} sessions cannot each own one of {n} time layers"
-        )
+        raise NotApplicable(f"{len(levels)} sessions cannot each own one of {n} time layers")
     # the n-slot expansion multiplies every rate, and so every offset, by n
     V = Vectors(q, n * instance.n_symbols)
     plan: dict[int, Vector] = {}
@@ -73,13 +79,13 @@ def assign_1m(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Network
     degree at most 3 and no removable edge.
     """
     if len(instance.sessions) != 2:
-        raise CodeError("exactly two sessions required")
+        raise NotApplicable("exactly two sessions required")
     if instance.sessions[0].rate != 1:
-        raise CodeError("the first session must have rate 1")
+        raise NotApplicable("the first session must have rate 1")
     m = instance.sessions[1].rate
     levels = _levels or connectivity_level(instance)
     if levels != (1, m + 1):
-        raise CodeError(f"connectivity {list(levels)} does not match [1, {m + 1}]")
+        raise NotApplicable(f"connectivity {list(levels)} does not match [1, {m + 1}]")
     if not internal_degree_ok(instance):
         raise CodeError("structured instance required (internal degree above 3)")
     if minimize(instance).removed:
@@ -172,14 +178,14 @@ def assign_133(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Networ
     everything else carries zero.  The code is realized and verified once.
     """
     if len(instance.sessions) != 3:
-        raise CodeError("exactly three sessions required")
+        raise NotApplicable("exactly three sessions required")
     if any(s.rate != 1 for s in instance.sessions):
-        raise CodeError("unit session rates required")
+        raise NotApplicable("unit session rates required")
     levels = _levels or connectivity_level(instance)
     order = sorted(range(3), key=lambda i: (levels[i], i))
     ranked = tuple(levels[i] for i in order)
     if ranked[0] < 1 or ranked[1] < 3 or ranked[2] < 3:
-        raise CodeError(f"sorted connectivity {list(ranked)} is below [1, 3, 3]")
+        raise NotApplicable(f"sorted connectivity {list(ranked)} is below [1, 3, 3]")
 
     a, b, c = order
     capped = attach_endpoints(instance, {a: 1, b: 3, c: 3})

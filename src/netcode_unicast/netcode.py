@@ -12,7 +12,7 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .gf import Vector, Vectors, _checked_prime, in_span
 from .graph import UnicastInstance, expand_time
@@ -30,6 +30,16 @@ class LocalRule:
 
     in_coeffs: tuple[tuple[int, int], ...] = ()
     src_coeffs: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def over(
+        cls, in_ids: Sequence[int], src_ids: Sequence[int], coeffs: Vector
+    ) -> LocalRule:
+        """The rule whose ``coeffs`` run over ``in_ids``, then ``src_ids``."""
+        return cls(
+            tuple((j, c) for j, c in zip(in_ids, coeffs) if c),
+            tuple((k, c) for k, c in zip(src_ids, coeffs[len(in_ids):]) if c),
+        )
 
 
 EMPTY_RULE = LocalRule()
@@ -184,21 +194,13 @@ def code_from_plan(
         if len(target) != V.n:
             raise CodeError(f"edge {eid}: plan vector has the wrong length")
         tail = expanded.tail(eid)
-        in_ids = list(expanded.in_edges[tail])
-        observed = list(expanded.observed_symbols(tail))
+        in_ids = expanded.in_edges[tail]
+        observed = expanded.observed_symbols(tail)
         rows = [plan.get(j, V.zero) for j in in_ids] + [V.unit(k) for k in observed]
         coeffs = in_span(target, rows, q)
         if coeffs is None:
             raise CodeError(f"edge {eid}: plan vector not realizable at its tail")
-        n_in = len(in_ids)
-        rules[eid] = LocalRule(
-            in_coeffs=tuple(
-                (j, c) for j, c in zip(in_ids, coeffs[:n_in]) if c != 0
-            ),
-            src_coeffs=tuple(
-                (k, c) for k, c in zip(observed, coeffs[n_in:]) if c != 0
-            ),
-        )
+        rules[eid] = LocalRule.over(in_ids, observed, coeffs)
     return NetworkCode(q, T, tuple(rules))
 
 
@@ -235,10 +237,14 @@ def parse_code(text: str) -> tuple[NetworkCode, dict[int, Vector] | None]:
         if kind == "field":
             if len(parts) != 2 or not parts[1].startswith("q="):
                 raise CodeError(f"line {lineno}: expected 'field q=<q>'")
+            if q is not None:
+                raise CodeError(f"line {lineno}: duplicate 'field' header")
             q = _parse_int(parts[1][2:], lineno)
         elif kind == "vector":
             if len(parts) != 2 or not parts[1].startswith("T="):
                 raise CodeError(f"line {lineno}: expected 'vector T=<T>'")
+            if T is not None:
+                raise CodeError(f"line {lineno}: duplicate 'vector' header")
             T = _parse_int(parts[1][2:], lineno)
         elif kind == "code":
             if len(parts) < 3 or parts[2] != ":":

@@ -681,11 +681,7 @@ def _search(
 
     rules = [None] * M
     for i, block in enumerate(chosen):
-        n_in = len(in_ids_at[i])
-        rules[order[i]] = LocalRule(
-            in_coeffs=tuple((e, c) for e, c in zip(in_ids_at[i], block) if c),
-            src_coeffs=tuple((k, c) for k, c in zip(src_ids_at[i], block[n_in:]) if c),
-        )
+        rules[order[i]] = LocalRule.over(in_ids_at[i], src_ids_at[i], block)
     code = NetworkCode(q=q, T=T, rules=tuple(rules))
     if not verify_code(instance, code).all_pass:
         raise CodeError("internal error: search returned a non-verifying code")

@@ -110,23 +110,14 @@ def structure(instance: UnicastInstance) -> StructuredInstance:
     rows with columns anti-monotonically), so per-session max-flows are
     unchanged.  Session endpoints are never replaced.
     """
-    endpoints = {s.source for s in instance.sessions} | {
-        s.terminal for s in instance.sessions
-    }
     names = list(instance.names)
     taken = set(names)
     edges: list[tuple[int, int]] = list(instance.edges)
-    gadget_nodes: list[int] = []
+    gadget_nodes = _wide_nodes(instance)
 
-    for v in range(instance.n_nodes):
-        if v in endpoints:
-            continue
-        ins = instance.in_edges[v]
-        outs = instance.out_edges[v]
+    for v in gadget_nodes:
+        ins, outs = instance.in_edges[v], instance.out_edges[v]
         p, r = len(ins), len(outs)
-        if p + r <= 3:
-            continue
-        gadget_nodes.append(v)
         base = instance.names[v]
         # degenerate grids (no in- or no out-edges) keep one dead row/column
         # so the boundary attachments stay well defined; no information can
@@ -159,16 +150,20 @@ def structure(instance: UnicastInstance) -> StructuredInstance:
     return StructuredInstance(structured, tuple(gadget_nodes))
 
 
-def internal_degree_ok(instance: UnicastInstance) -> bool:
-    """True when every node other than a session endpoint has degree <= 3."""
-    endpoints = {s.source for s in instance.sessions} | {
-        s.terminal for s in instance.sessions
-    }
-    return all(
-        len(instance.in_edges[v]) + len(instance.out_edges[v]) <= 3
+def _wide_nodes(instance: UnicastInstance) -> list[int]:
+    """Nodes other than a session endpoint with degree above 3, ascending."""
+    endpoints = {v for s in instance.sessions for v in (s.source, s.terminal)}
+    return [
+        v
         for v in range(instance.n_nodes)
         if v not in endpoints
-    )
+        and len(instance.in_edges[v]) + len(instance.out_edges[v]) > 3
+    ]
+
+
+def internal_degree_ok(instance: UnicastInstance) -> bool:
+    """True when every node other than a session endpoint has degree <= 3."""
+    return not _wide_nodes(instance)
 
 
 def lift_code(

@@ -499,6 +499,30 @@ def test_code_names_the_cut_of_a_session_below_its_rate(tmp_path, levels, width)
     assert not (tmp_path / "no.code").exists()
 
 
+def test_code_names_a_violated_cut_outside_every_range(tmp_path):
+    # gen_113 with a fourth s3 -> t3 edge: levels [1,1,4] lie outside every
+    # construction's range, and sessions 1 and 2 still share one edge
+    base = gen_113()
+    inst = build_instance(
+        [(base.names[u], base.names[v]) for u, v in base.edges] + [("s3", "t3")],
+        [(base.names[s.source], base.names[s.terminal]) for s in base.sessions],
+    )
+    assert connectivity_level(inst) == (1, 1, 4)
+    src = str(tmp_path / "i.txt")
+    save_instance(inst, src)
+    rc, out, _ = run_cli("code", src, "-o", str(tmp_path / "no.code"))
+    assert rc == 1
+    want = cutset_infeasible_exhaustive(inst)
+    assert (want.capacity, want.required_rate, want.sessions) == (1, 2, (0, 1))
+    assert [inst.names[v] for v in want.nodes] == ["s1", "v1", "s2"]
+    assert want.cut_edges == (2,)
+    assert out == (
+        "RESULT: infeasible (violated cut)\n"
+        "WITNESS: capacity 1 rate 2 sessions 1,2 nodes s1,v1,s2 edges 2\n"
+    )
+    assert not (tmp_path / "no.code").exists()
+
+
 def test_code_no_construction_message(fig3, tmp_path):
     # two sessions with rates (2,1): outside every construction's scope
     rc, out, _ = run_cli("code", fig3, "-o", str(tmp_path / "no.code"))
@@ -767,6 +791,17 @@ def test_search_routing_refuses_a_field_other_than_gf2(fig1):
 def test_search_rejects_composite_field(fig2b):
     rc, _, err = run_cli("search", fig2b, "--q", "4")
     assert rc == 2
+    assert "prime" in err
+
+
+@pytest.mark.parametrize("fixture", ["fig2a", "fig3"])
+def test_code_rejects_composite_field_before_any_verdict(fixture, request, tmp_path):
+    # fig2a has a violated cut and fig3 no construction: neither verdict is
+    # printed for a field order that is not prime
+    path = request.getfixturevalue(fixture)
+    rc, out, err = run_cli("code", path, "--q", "4", "-o", str(tmp_path / "no.code"))
+    assert rc == 2
+    assert out == ""
     assert "prime" in err
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from minimize_oracle import minimize_reference
 
 from netcode_unicast import constructors, netcode, transform
-from netcode_unicast.constructors import assign_1m, assign_133, route_uniform
+from netcode_unicast.constructors import NotApplicable, assign_1m, assign_133, route_uniform
 from netcode_unicast.flows import connectivity_level, edge_disjoint_paths
 from netcode_unicast.graph import Session, build_instance
 from netcode_unicast.netcode import (
@@ -183,13 +183,13 @@ def test_assign_1m_rejects_three_sessions():
     bad = CHAIN_M1.with_sessions(
         (CHAIN_M1.sessions[0], CHAIN_M1.sessions[1], CHAIN_M1.sessions[0])
     )
-    with pytest.raises(CodeError):
+    with pytest.raises(NotApplicable, match="two sessions"):
         assign_1m(bad)
 
 
 def test_assign_1m_rejects_wrong_first_rate():
     bad = CHAIN_M2.with_sessions((CHAIN_M2.sessions[1], CHAIN_M2.sessions[0]))
-    with pytest.raises(CodeError):
+    with pytest.raises(NotApplicable, match="rate 1"):
         assign_1m(bad)
 
 
@@ -197,7 +197,7 @@ def test_assign_1m_rejects_wrong_connectivity():
     # CHAIN_M1 supports (1, 2); asking for rate 2 demands (1, 3)
     s1, s2 = CHAIN_M1.sessions
     bad = CHAIN_M1.with_sessions((s1, Session(s2.source, s2.terminal, 2)))
-    with pytest.raises(CodeError):
+    with pytest.raises(NotApplicable, match="does not match"):
         assign_1m(bad)
 
 
@@ -213,8 +213,10 @@ def test_assign_1m_rejects_wide_internal_node():
         ],
         [("s1", "t1"), ("s2", "t2")],
     )
-    with pytest.raises(CodeError, match="degree"):
+    # in range, but not structured: a construction failure, not a range miss
+    with pytest.raises(CodeError, match="degree") as info:
         assign_1m(hub)
+    assert not isinstance(info.value, NotApplicable)
 
 
 def test_assign_1m_rejects_non_minimal():
@@ -230,8 +232,9 @@ def test_assign_1m_rejects_non_minimal():
         ],
         [("s1", "t1"), ("s2", "t2")],
     )
-    with pytest.raises(CodeError, match="minimal"):
+    with pytest.raises(CodeError, match="minimal") as info:
         assign_1m(loose)
+    assert not isinstance(info.value, NotApplicable)
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
@@ -301,7 +304,7 @@ def test_route_uniform_sampled_333():
 
 
 def test_route_uniform_rejects_nonuniform():
-    with pytest.raises(CodeError, match="uniform"):
+    with pytest.raises(NotApplicable, match="uniform"):
         route_uniform(DISJOINT_12)
 
 
@@ -310,7 +313,7 @@ def test_route_uniform_rejects_nonunit_rate():
         [("s1", "a"), ("a", "t1"), ("s1", "b"), ("b", "t1")],
         [("s1", "t1", 2)],
     )
-    with pytest.raises(CodeError, match="rate"):
+    with pytest.raises(NotApplicable, match="rate"):
         route_uniform(inst)
 
 
@@ -319,7 +322,7 @@ def test_route_uniform_rejects_too_many_sessions():
         [("s1", "a"), ("a", "t1"), ("s2", "b"), ("b", "t2")],
         [("s1", "t1"), ("s2", "t2")],
     )
-    with pytest.raises(CodeError, match="sessions"):
+    with pytest.raises(NotApplicable, match="sessions"):
         route_uniform(inst)
 
 
@@ -418,12 +421,12 @@ def test_assign_133_uniform_333_input():
 
 def test_assign_133_rejects_low_levels():
     inst = sample_triple(1, (1, 2, 3))
-    with pytest.raises(CodeError, match="below"):
+    with pytest.raises(NotApplicable, match="below"):
         assign_133(inst)
 
 
 def test_assign_133_rejects_two_sessions():
-    with pytest.raises(CodeError, match="three"):
+    with pytest.raises(NotApplicable, match="three"):
         assign_133(CHAIN_M1)
 
 
@@ -431,7 +434,7 @@ def test_assign_133_rejects_nonunit_rates():
     inst = _chain_m2_triple()
     s = inst.sessions
     bad = inst.with_sessions((s[0], Session(s[1].source, s[1].terminal, 2), s[2]))
-    with pytest.raises(CodeError, match="rate"):
+    with pytest.raises(NotApplicable, match="rate"):
         assign_133(bad)
 
 

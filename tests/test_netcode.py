@@ -198,6 +198,8 @@ def test_code_file_with_globals():
         ("code 0 : x0=1\n", "header"),
         ("field q=2\nvector T=1\ncode 0 : x0=1\ncode 0 : x0=1\n", "duplicate"),
         ("field q=2\nvector T=1\nglobal 0 : 1\nglobal 0 : 1\n", "line 4: duplicate global"),
+        ("field q=3\nfield q=2\nvector T=1\ncode 0 : x0=1\n", "line 2: duplicate 'field'"),
+        ("field q=2\nvector T=2\nvector T=1\ncode 0 : x0=1\n", "line 3: duplicate 'vector'"),
         ("field q=2\nvector T=1\ncode 1 : x0=1\n", "cover"),
         ("field q=2\nvector T=1\ncode 0 : y0=1\n", "bad coefficient"),
         ("field q=2\nvector T=1\ncode 0 x0=1\n", "expected"),
