@@ -35,23 +35,25 @@ print("messy:     ", messy.n_edges, "edges, connectivity",
       connectivity_level(messy))
 
 # Strip every edge whose removal keeps the connectivity vector intact.
-slim = minimize(messy)
-print("minimized: ", slim.instance.n_edges, "edges,",
-      len(slim.removed), "removed")
+# Like keep_edges, minimize also returns the input id of each kept edge.
+slim, kept = minimize(messy)
+print("minimized: ", slim.n_edges, "edges,",
+      messy.n_edges - len(kept), "removed")
 
-# Replace wide internal nodes by merge/fork crossbars.
-shaped = structure(slim.instance)
-print("structured:", shaped.instance.n_edges, "edges, degree<=3:",
-      internal_degree_ok(shaped.instance))
-assert connectivity_level(shaped.instance) == connectivity_level(messy)
+# Replace wide internal nodes by merge/fork crossbars.  Edges keep their
+# ids; the crossbar edges are numbered after them.
+shaped = structure(slim)
+print("structured:", shaped.n_edges, "edges, degree<=3:",
+      internal_degree_ok(shaped))
+assert connectivity_level(shaped) == connectivity_level(messy)
 
 # The two-session constructor wants exactly this normal form.
-code = assign_1m(shaped.instance)
+code = assign_1m(shaped)
 print("code on structured instance decodes:",
-      verify_code(shaped.instance, code).all_pass)
+      verify_code(shaped, code).all_pass)
 
 # Gadget edges forward verbatim, so the code pulls back edge by edge;
 # the extra step through minimize is a plain re-indexing.
-lifted = lift_code(shaped, slim.instance, code)
+lifted = lift_code(shaped, slim, code)
 print("lifted code decodes on minimized instance:",
-      verify_code(slim.instance, lifted).all_pass)
+      verify_code(slim, lifted).all_pass)

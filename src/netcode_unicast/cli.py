@@ -45,7 +45,7 @@ from .oracle import (
     gen_23_rate21,
     gen_fig1,
 )
-from .transform import minimize, structure
+from .transform import _wide_nodes, minimize, structure
 
 GENERATORS = {
     "fig1": gen_fig1,
@@ -91,31 +91,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_minimize(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    result = minimize(inst)
-    save_instance(result.instance, args.output)
+    minimal, kept = minimize(inst)
+    save_instance(minimal, args.output)
+    removed = sorted(set(range(inst.n_edges)).difference(kept))
     with open(args.output + ".map", "w", encoding="utf-8") as fh:
         fh.write("# edge map: new id -> original id\n")
-        for new_id, old_id in enumerate(result.edge_map):
+        for new_id, old_id in enumerate(kept):
             fh.write(f"edge {new_id} {old_id}\n")
-        for old_id in sorted(result.removed):
+        for old_id in removed:
             fh.write(f"removed {old_id}\n")
-    print(f"RESULT: removed {len(result.removed)}")
+    print(f"RESULT: removed {len(removed)}")
     return 0
 
 
 def cmd_structure(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    result = structure(inst)
-    save_instance(result.instance, args.output)
+    structured = structure(inst)
+    replaced = _wide_nodes(inst)
+    save_instance(structured, args.output)
     with open(args.output + ".map", "w", encoding="utf-8") as fh:
         fh.write("# edge map: new id -> original id, 'gadget' for crossbar\n")
-        for v in result.gadget_nodes:
+        for v in replaced:
             fh.write(f"node {inst.names[v]} gadget\n")
         # original edges keep their ids, crossbar edges come after them
-        for new_id in range(result.instance.n_edges):
+        for new_id in range(structured.n_edges):
             tag = "gadget" if new_id >= inst.n_edges else str(new_id)
             fh.write(f"edge {new_id} {tag}\n")
-    print(f"RESULT: gadgets {len(result.gadget_nodes)}")
+    print(f"RESULT: gadgets {len(replaced)}")
     return 0
 
 

@@ -88,7 +88,7 @@ def assign_1m(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Network
         raise NotApplicable(f"connectivity {list(levels)} does not match [1, {m + 1}]")
     if not internal_degree_ok(instance):
         raise CodeError("structured instance required (internal degree above 3)")
-    if minimize(instance).removed:
+    if len(minimize(instance)[1]) < instance.n_edges:
         raise CodeError("minimal instance required (some edge is removable)")
     code = code_from_plan(instance, q, 1, _plan_1m(instance, q))
     if not verify_code(instance, code).all_pass:
@@ -210,19 +210,19 @@ def assign_133(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Networ
                 Session(mate.source, mate.terminal, 2),
             )
         )
-        shrunk = minimize(layer)
-        shaped = structure(shrunk.instance)
-        trimmed = minimize(shaped.instance)
+        shrunk, shrunk_map = minimize(layer)
+        shaped = structure(shrunk)
+        trimmed, trimmed_map = minimize(shaped)
         # trimmed meets assign_1m's preconditions by construction: the cap
         # fixes the levels at (1, 3) and every stage keeps them, structuring
         # bounds internal degree by 3 and trimming only lowers it, and the
         # trim leaves no edge removable.  Compose trimmed -> shaped ->
         # shrunk -> sub -> capped; edges removed by either trim carry zero
-        for eid, vec in _plan_1m(trimmed.instance, q).items():
-            shaped_eid = trimmed.edge_map[eid]
-            if shaped_eid >= shrunk.instance.n_edges:
+        for eid, vec in _plan_1m(trimmed, q).items():
+            shaped_eid = trimmed_map[eid]
+            if shaped_eid >= shrunk.n_edges:
                 continue  # crossbar edge; original edges keep their ids
-            capped_eid = sub_to_capped[shrunk.edge_map[shaped_eid]]
+            capped_eid = sub_to_capped[shrunk_map[shaped_eid]]
             if capped_eid >= instance.n_edges:
                 continue  # attachment edge, exists only under the cap
             out = [0] * L

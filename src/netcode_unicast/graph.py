@@ -233,9 +233,9 @@ def parse_instance(text: str) -> UnicastInstance:
 
     Raises:
         InstanceError: with a 1-based line number on any syntax problem,
-            ``cap=`` or ``rate=`` above ``MAX_COUNT``, duplicate or
-            non-contiguous session index, unknown node in a session line, or
-            a directed cycle.
+            ``cap=`` or ``rate=`` above ``MAX_COUNT``, a self-loop, duplicate
+            or non-contiguous session index, unknown node in a session line,
+            or a directed cycle.
     """
     edge_specs: list[tuple[str, str, int]] = []
     session_specs: list[tuple[int, str, str, int, int]] = []  # (idx, src, dst, rate, line)
@@ -255,6 +255,8 @@ def parse_instance(text: str) -> UnicastInstance:
                 cap = _bounded_count(parts[3], "capacity", lineno)
                 if cap < 1:
                     raise InstanceError(f"line {lineno}: capacity must be >= 1")
+            if parts[1] == parts[2]:
+                raise InstanceError(f"line {lineno}: self-loop on node {parts[1]!r}")
             edge_specs.append((parts[1], parts[2], cap))
         elif kind == "session":
             if len(parts) not in (4, 5):

@@ -252,18 +252,18 @@ def parse_code(text: str) -> tuple[NetworkCode, dict[int, Vector] | None]:
             eid = _parse_int(parts[1], lineno)
             if eid in rule_lines:
                 raise CodeError(f"line {lineno}: duplicate code line for edge {eid}")
-            in_coeffs: list[tuple[int, int]] = []
-            src_coeffs: list[tuple[int, int]] = []
+            coeffs: dict[str, dict[int, int]] = {"e": {}, "x": {}}
             for token in parts[3:]:
-                if "=" not in token or token[0] not in ("e", "x"):
+                if "=" not in token or token[0] not in coeffs:
                     raise CodeError(f"line {lineno}: bad coefficient {token!r}")
                 key_text, _, coeff_text = token.partition("=")
                 key = _parse_int(key_text[1:], lineno)
-                coeff = _parse_int(coeff_text, lineno)
-                (in_coeffs if token[0] == "e" else src_coeffs).append((key, coeff))
+                if key in coeffs[token[0]]:
+                    raise CodeError(f"line {lineno}: duplicate coefficient {key_text!r}")
+                coeffs[token[0]][key] = _parse_int(coeff_text, lineno)
             rule_lines[eid] = LocalRule(
-                in_coeffs=tuple(sorted((j, c) for j, c in in_coeffs if c != 0)),
-                src_coeffs=tuple(sorted((k, c) for k, c in src_coeffs if c != 0)),
+                in_coeffs=tuple(sorted((j, c) for j, c in coeffs["e"].items() if c != 0)),
+                src_coeffs=tuple(sorted((k, c) for k, c in coeffs["x"].items() if c != 0)),
             )
         elif kind == "global":
             if len(parts) != 4 or parts[2] != ":":

@@ -74,13 +74,14 @@ MAX_SEARCH_FIELD_ORDER = 65537
 # this bound and sets up in 5 ms on one Xeon core under Python 3.11, at T=256
 # in 34-36 ms.  The search refuses more before expanding
 MAX_SEARCH_EDGES = 1024
-# largest q**L that gets add/scale tables.  Timed on whole sample_1m searches
-# (Python 3.11, one Xeon core, build counted), tables beat tuples 3.0-4.6x in
-# total at 81, 125, 243 and 343 vectors and lose only where the build
-# outweighs the search (32 blocks at 81 vectors, 1,899 at 343).  Up to 256
-# every entry is a cached small int: 243 vectors build in 2.4 ms and hold
-# 0.54 MiB; above it each entry is its own int (1.9 MiB at 343 vectors, 15 MiB
-# and 26 ms at 729, where tables and tuples tie over 20,000 blocks)
+# largest q**L that gets add/scale tables.  Timed on whole searches with the
+# span-keyed memo and the lookahead (Python 3.11, one Xeon core, build
+# counted), tuples take 1.2-1.9x the tables' time on searches of 250 blocks or
+# more at 27 to 243 vectors (fig2a q=3 2.8 -> 5.3 ms, fig3 q=3 24 -> 37 ms),
+# about the same below 60 blocks, where the build outweighs the search, and
+# 0.1-1.0x at 343 and 729 vectors.  Up to 256 every entry is a cached small
+# int (243 vectors: 2.4 ms, 0.54 MiB); above it each is its own int (1.9 MiB
+# at 343 vectors, 15 MiB at 729)
 TABLE_VECTORS = 256
 
 

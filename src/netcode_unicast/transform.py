@@ -12,18 +12,9 @@ instance lift back to the original graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .flows import _augment, _residual_components, _unit_flow
 from .graph import UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, verify_code
-
-
-@dataclass(frozen=True, slots=True)
-class MinimizeResult:
-    instance: UnicastInstance
-    removed: tuple[int, ...]          # original edge ids, ascending
-    edge_map: tuple[int, ...]         # new edge id -> original edge id
 
 
 def _critical_edges(instance: UnicastInstance, flows: list[list[int]]) -> list[int]:
@@ -39,8 +30,11 @@ def _critical_edges(instance: UnicastInstance, flows: list[list[int]]) -> list[i
     return critical
 
 
-def minimize(instance: UnicastInstance) -> MinimizeResult:
+def minimize(instance: UnicastInstance) -> tuple[UnicastInstance, tuple[int, ...]]:
     """Remove edges until every remaining one is critical for some session.
+
+    Returns what :meth:`~netcode_unicast.graph.UnicastInstance.keep_edges`
+    returns: the minimal instance and the input id of each of its edge ids.
 
     The connectivity vector of the result equals the input's exactly: edge
     removal can only lower a max-flow, so holding every component >= the
@@ -67,7 +61,6 @@ def minimize(instance: UnicastInstance) -> MinimizeResult:
     caps = [1] * instance.n_edges  # 0 marks a removed edge
     flows = [_unit_flow(instance, (s.source,), (s.terminal,))[1] for s in instance.sessions]
     critical = _critical_edges(instance, flows)
-    removed: list[int] = []
     for eid, (u, v) in enumerate(instance.edges):
         if critical[eid]:
             continue
@@ -79,28 +72,12 @@ def minimize(instance: UnicastInstance) -> MinimizeResult:
             if not _augment(instance, flow, caps, (u,), (v,)):
                 flow[eid] = caps[eid] = 1
                 break
-        else:
-            removed.append(eid)
-    final, kept = instance.keep_edges(e for e in range(instance.n_edges) if caps[e])
-    return MinimizeResult(final, tuple(removed), kept)
+    return instance.keep_edges(e for e in range(instance.n_edges) if caps[e])
 
 
 # -- degree-3 structuring ----------------------------------------------------
 
-@dataclass(frozen=True)
-class StructuredInstance:
-    """Result of degree reduction.
-
-    Original edges keep their ids; every id at or above the original edge
-    count is a crossbar-internal edge.  ``gadget_nodes`` lists the replaced
-    node ids of the original instance.
-    """
-
-    instance: UnicastInstance
-    gadget_nodes: tuple[int, ...]
-
-
-def structure(instance: UnicastInstance) -> StructuredInstance:
+def structure(instance: UnicastInstance) -> UnicastInstance:
     """Rebuild so every internal node has in-degree + out-degree <= 3.
 
     Each offending node becomes a p x r crossbar: cell (a, b) is a merge
@@ -108,14 +85,17 @@ def structure(instance: UnicastInstance) -> StructuredInstance:
     in-edge rightwards, columns collect into the b-th out-edge.  Any k
     in-edges can reach any k out-edges along vertex-disjoint routes (pair
     rows with columns anti-monotonically), so per-session max-flows are
-    unchanged.  Session endpoints are never replaced.
+    unchanged.  Session endpoints are never replaced; the replaced nodes are
+    :func:`_wide_nodes` of the input, and each keeps its name and no edge.
+
+    Original edges keep their ids; every id at or above the input's edge
+    count is a crossbar edge.
     """
     names = list(instance.names)
     taken = set(names)
     edges: list[tuple[int, int]] = list(instance.edges)
-    gadget_nodes = _wide_nodes(instance)
 
-    for v in gadget_nodes:
+    for v in _wide_nodes(instance):
         ins, outs = instance.in_edges[v], instance.out_edges[v]
         p, r = len(ins), len(outs)
         base = instance.names[v]
@@ -146,8 +126,7 @@ def structure(instance: UnicastInstance) -> StructuredInstance:
                 if a + 1 < rows:
                     edges.append((fork[a][b], merge[a + 1][b]))
 
-    structured = UnicastInstance(tuple(names), tuple(edges), instance.sessions)
-    return StructuredInstance(structured, tuple(gadget_nodes))
+    return UnicastInstance(tuple(names), tuple(edges), instance.sessions)
 
 
 def _wide_nodes(instance: UnicastInstance) -> list[int]:
@@ -167,7 +146,7 @@ def internal_degree_ok(instance: UnicastInstance) -> bool:
 
 
 def lift_code(
-    structured: StructuredInstance,
+    structured: UnicastInstance,
     original: UnicastInstance,
     code: NetworkCode,
 ) -> NetworkCode:
@@ -186,7 +165,7 @@ def lift_code(
     ``demos/construct_and_lift.py``, the acceptance tests and the reference
     [1,3,3] construction in ``tests/construct_oracle.py``.
     """
-    result = verify_code(structured.instance, code)
+    result = verify_code(structured, code)
     if not result.all_pass:
         raise CodeError("refusing to lift a code that does not verify")
     vectors = result.vectors

@@ -58,26 +58,26 @@ def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
                 Session(mate.source, mate.terminal, 2),
             )
         )
-        shrunk = minimize(layer)
-        shaped = structure(shrunk.instance)
-        trimmed = minimize(shaped.instance)
-        scalar = assign_1m(trimmed.instance, q)
+        shrunk, shrunk_map = minimize(layer)
+        shaped = structure(shrunk)
+        trimmed, trimmed_map = minimize(shaped)
+        scalar = assign_1m(trimmed, q)
         # undo the post-gadget trim (removed edges carry zero), the gadgets,
         # and the first trim, tracking edge ids through each stage
         grown = code_from_plan(
-            shaped.instance,
+            shaped,
             q,
             1,
             {
-                trimmed.edge_map[eid]: vec
-                for eid, vec in enumerate(propagate(trimmed.instance, scalar))
+                trimmed_map[eid]: vec
+                for eid, vec in enumerate(propagate(trimmed, scalar))
             },
         )
-        lifted = lift_code(shaped, shrunk.instance, grown)
-        for eid, vec in enumerate(propagate(shrunk.instance, lifted)):
+        lifted = lift_code(shaped, shrunk, grown)
+        for eid, vec in enumerate(propagate(shrunk, lifted)):
             if not any(vec):
                 continue
-            capped_eid = sub_to_capped[shrunk.edge_map[eid]]
+            capped_eid = sub_to_capped[shrunk_map[eid]]
             if capped_eid >= instance.n_edges:
                 continue  # attachment edge, exists only under the cap
             out = [0] * L

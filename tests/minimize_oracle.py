@@ -10,7 +10,8 @@ edge and every edge already removed.
 instead, and asks that question of every edge a flow uses when the scan
 reaches it.  ``transform`` now first marks, one residual component pass per
 flow, the edges that no detour can spare and scans past them.  All three
-must give equal ``MinimizeResult``s.
+must give equal results: the instance and the kept ids ``keep_edges``
+returns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from flow_oracle import _augment
 from netcode_unicast import flows as unit_flows
 from netcode_unicast.flows import connectivity_level
 from netcode_unicast.graph import Session, UnicastInstance
-from netcode_unicast.transform import MinimizeResult
 
 
 def _reroute(
@@ -45,7 +45,9 @@ def _reroute(
     ) > 0
 
 
-def prune_reference(instance: UnicastInstance, target: tuple[int, ...]) -> MinimizeResult:
+def prune_reference(
+    instance: UnicastInstance, target: tuple[int, ...]
+) -> tuple[UnicastInstance, tuple[int, ...]]:
     """Drop edges in ascending id order while every session keeps max-flow
     >= its target, which must not exceed the input's connectivity."""
     edges, out_edges, in_edges = instance.edges, instance.out_edges, instance.in_edges
@@ -57,28 +59,27 @@ def prune_reference(instance: UnicastInstance, target: tuple[int, ...]) -> Minim
         for _ in range(want):
             _augment(edges, out_edges, in_edges, caps, flow, s.source, s.terminal)
         flows.append(flow)
-    removed: list[int] = []
     for eid in range(instance.n_edges):
         users = [i for i, flow in enumerate(flows) if flow[eid]]
         saved = [flows[i][:] for i in users]
         caps[eid] = 0
-        if all(_reroute(instance, caps, flows[i], eid, sessions[i]) for i in users):
-            removed.append(eid)
-        else:
+        if not all(_reroute(instance, caps, flows[i], eid, sessions[i]) for i in users):
             caps[eid] = 1
             for i, flow in zip(users, saved):
                 flows[i] = flow
-    kept = [e for e in range(instance.n_edges) if caps[e]]
-    final, _ = instance.keep_edges(kept)
-    return MinimizeResult(final, tuple(removed), tuple(kept))
+    return instance.keep_edges(e for e in range(instance.n_edges) if caps[e])
 
 
-def minimize_reference(instance: UnicastInstance) -> MinimizeResult:
+def minimize_reference(
+    instance: UnicastInstance,
+) -> tuple[UnicastInstance, tuple[int, ...]]:
     """``prune_reference`` at the input's connectivity vector."""
     return prune_reference(instance, connectivity_level(instance))
 
 
-def prune_detour_reference(instance: UnicastInstance) -> MinimizeResult:
+def prune_detour_reference(
+    instance: UnicastInstance,
+) -> tuple[UnicastInstance, tuple[int, ...]]:
     """Detour pruning with a search for every flow edge the scan reaches;
     each session keeps its max-flow."""
     caps = [1] * instance.n_edges  # 0 marks a removed edge
@@ -86,7 +87,6 @@ def prune_detour_reference(instance: UnicastInstance) -> MinimizeResult:
         unit_flows._unit_flow(instance, (s.source,), (s.terminal,))[1]
         for s in instance.sessions
     ]
-    removed: list[int] = []
     for eid, (u, v) in enumerate(instance.edges):
         caps[eid] = 0
         for flow in flows:
@@ -96,8 +96,4 @@ def prune_detour_reference(instance: UnicastInstance) -> MinimizeResult:
             if not unit_flows._augment(instance, flow, caps, (u,), (v,)):
                 flow[eid] = caps[eid] = 1
                 break
-        else:
-            removed.append(eid)
-    kept = [e for e in range(instance.n_edges) if caps[e]]
-    final, _ = instance.keep_edges(kept)
-    return MinimizeResult(final, tuple(removed), tuple(kept))
+    return instance.keep_edges(e for e in range(instance.n_edges) if caps[e])

@@ -259,25 +259,25 @@ def test_criterion_8_invariant_suites():
     # minimize keeps connectivity and is idempotent
     for i in range(100):
         inst = sample_uniform(seed=7000 + i, n=2 + i % 2)
-        res = minimize(inst)
-        assert connectivity_level(res.instance) == connectivity_level(inst)
-        assert minimize(res.instance).removed == ()
+        minimal, _ = minimize(inst)
+        assert connectivity_level(minimal) == connectivity_level(inst)
+        assert minimize(minimal)[1] == tuple(range(minimal.n_edges))
         cases += 1
 
     # structuring bounds internal degree and preserves connectivity
     for i in range(100):
         inst = sample_triple(seed=8000 + i, triple=(1, 3, 3))
         shaped = structure(inst)
-        assert internal_degree_ok(shaped.instance)
-        assert connectivity_level(shaped.instance) == connectivity_level(inst)
+        assert internal_degree_ok(shaped)
+        assert connectivity_level(shaped) == connectivity_level(inst)
         cases += 1
 
     # codes found on the structured instance lift back and still decode
     for i in range(80):
         inst = sample_uniform(seed=8500 + i, n=2 + i % 2)
         shaped = structure(inst)
-        code = route_uniform(shaped.instance)
-        assert verify_code(shaped.instance, code).all_pass
+        code = route_uniform(shaped)
+        assert verify_code(shaped, code).all_pass
         lifted = lift_code(shaped, inst, code)
         assert verify_code(inst, lifted).all_pass
         cases += 1

@@ -251,7 +251,7 @@ def test_assign_1m_random(seed: int, m: int):
 def test_sampled_1m_minimal_structured_single_overlaps(seed: int, m: int):
     inst = sample_1m(seed, m)
     assert internal_degree_ok(inst)
-    assert minimize(inst).removed == ()
+    assert minimize(inst)[1] == tuple(range(inst.n_edges))
     p1 = edge_disjoint_paths(inst, 0, 1)[0]
     for path in edge_disjoint_paths(inst, 1, m + 1):
         assert len(overlap_segments(p1, path)) <= 1
@@ -520,7 +520,7 @@ def test_assign_133_plans_layers_that_meet_assign_1m_preconditions(monkeypatch):
         m = layer.sessions[1].rate
         assert connectivity_level(layer) == (1, m + 1)
         assert internal_degree_ok(layer)
-        assert minimize(layer).removed == ()
+        assert minimize(layer)[1] == tuple(range(layer.n_edges))
 
 
 def test_assign_133_minimizes_as_the_path_cancelling_reference(monkeypatch):

@@ -71,6 +71,8 @@ def test_cap_expands_to_parallel_edges():
         ("session 2 s t\nedge s t\n", "contiguous"),
         ("session 1 s t\nsession 1 s t\nedge s t\n", "duplicate session"),
         ("session 1 s s\nedge s t\n", "differ"),
+        # named by its line, not by an edge id after cap= expansion
+        ("session 1 a b\nedge a b cap=5\nedge c c\n", "line 3: self-loop on node 'c'"),
         ("session 1 s t rate=0\nedge s t\n", ">= 1"),
         ("edge s t cap=0\nsession 1 s t\n", ">= 1"),
         ("edge s\nsession 1 s t\n", "expected"),

@@ -202,6 +202,10 @@ def test_code_file_with_globals():
         ("field q=2\nvector T=2\nvector T=1\ncode 0 : x0=1\n", "line 3: duplicate 'vector'"),
         ("field q=2\nvector T=1\ncode 1 : x0=1\n", "cover"),
         ("field q=2\nvector T=1\ncode 0 : y0=1\n", "bad coefficient"),
+        # a repeated key is refused, whether a copy is zero or not
+        ("field q=2\nvector T=1\ncode 0 : e0=0 e0=1\n", "line 3: duplicate coefficient 'e0'"),
+        ("field q=2\nvector T=1\ncode 0 : e0=1 e0=1\n", "line 3: duplicate coefficient 'e0'"),
+        ("field q=2\nvector T=1\ncode 0 : x1=1 x1=0\n", "line 3: duplicate coefficient 'x1'"),
         ("field q=2\nvector T=1\ncode 0 x0=1\n", "expected"),
         ("field q=2\nvector T=1\nnoise\n", "unknown directive"),
         ("field q=x\n", "bad integer"),

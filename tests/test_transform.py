@@ -31,8 +31,8 @@ from netcode_unicast.netcode import (
 )
 from netcode_unicast.sampling import sample_1m, sample_triple, sample_uniform
 from netcode_unicast.transform import (
-    MinimizeResult,
     _critical_edges,
+    _wide_nodes,
     internal_degree_ok,
     lift_code,
     minimize,
@@ -46,7 +46,7 @@ def _prune_oracle(instance, target):
     equal to the connectivity vector: rebuild the instance without each
     candidate edge (ascending id) while every max-flow stays >= its target,
     recomputing them anew, and pass again until a pass removes nothing.
-    Returns the result and the edges each pass removed."""
+    Returns what ``minimize`` returns and the edges each pass removed."""
     kept = list(range(instance.n_edges))
     passes: list[tuple[int, ...]] = []
     while not passes or passes[-1]:
@@ -59,10 +59,7 @@ def _prune_oracle(instance, target):
                 kept = candidate
                 dropped.append(eid)
         passes.append(tuple(dropped))
-    removed = tuple(e for dropped in passes for e in dropped)
-    final, edge_map = instance.keep_edges(kept)
-    result = MinimizeResult(final, removed, edge_map)
-    return result, passes
+    return instance.keep_edges(kept), passes
 
 
 def assert_matches_oracle(instance):
@@ -80,10 +77,9 @@ def test_minimize_fixpoint_on_disjoint_paths():
         [("s1", "a"), ("a", "t1"), ("s2", "t2")],
         [("s1", "t1"), ("s2", "t2")],
     )
-    res = minimize(inst)
-    assert res.removed == ()
-    assert res.instance == inst
-    assert res.edge_map == (0, 1, 2)
+    minimal, kept = minimize(inst)
+    assert minimal == inst
+    assert kept == (0, 1, 2)
 
 
 def test_minimize_drops_dangling_edge():
@@ -91,10 +87,10 @@ def test_minimize_drops_dangling_edge():
         [("s", "a"), ("a", "t"), ("a", "x")],
         [("s", "t")],
     )
-    res = minimize(inst)
-    assert res.removed == (2,)
-    assert res.instance.n_edges == 2
-    assert connectivity_level(res.instance) == (1,)
+    minimal, kept = minimize(inst)
+    assert kept == (0, 1)
+    assert minimal.n_edges == 2
+    assert connectivity_level(minimal) == (1,)
 
 
 def test_minimize_keeps_connectivity_and_is_minimal():
@@ -109,13 +105,11 @@ def test_minimize_keeps_connectivity_and_is_minimal():
         ],
         [("s", "t", 1)],
     )
-    res = minimize(inst)
+    minimal, _ = minimize(inst)
     before = connectivity_level(inst)
-    assert connectivity_level(res.instance) == before
-    for eid in range(res.instance.n_edges):
-        sub, _ = res.instance.keep_edges(
-            [e for e in range(res.instance.n_edges) if e != eid]
-        )
+    assert connectivity_level(minimal) == before
+    for eid in range(minimal.n_edges):
+        sub, _ = minimal.keep_edges([e for e in range(minimal.n_edges) if e != eid])
         levels = connectivity_level(sub)
         assert any(a < b for a, b in zip(levels, before))
 
@@ -124,9 +118,7 @@ def test_structure_noop_below_degree_limit():
     inst = build_instance(
         [("s", "a"), ("a", "b"), ("b", "t")], [("s", "t")]
     )
-    res = structure(inst)
-    assert res.gadget_nodes == ()
-    assert res.instance == inst
+    assert structure(inst) == inst
 
 
 def high_degree_hub():
@@ -146,15 +138,21 @@ def high_degree_hub():
 
 def test_structure_replaces_hub():
     inst = high_degree_hub()
-    res = structure(inst)
-    assert res.gadget_nodes == (inst.names.index("v"),)
-    assert internal_degree_ok(res.instance)
-    assert connectivity_level(res.instance) == connectivity_level(inst) == (1, 1, 1)
+    shaped = structure(inst)
+    hub = inst.names.index("v")
+    assert internal_degree_ok(shaped)
+    assert connectivity_level(shaped) == connectivity_level(inst) == (1, 1, 1)
+    # the hub keeps no edge; every other input node keeps its edge ids
+    assert not shaped.in_edges[hub] and not shaped.out_edges[hub]
+    for v in range(inst.n_nodes):
+        if v != hub:
+            assert shaped.in_edges[v] == inst.in_edges[v]
+            assert shaped.out_edges[v] == inst.out_edges[v]
     # original edges keep their ids; the hub edges were re-attached
-    assert res.instance.edges[0][0] == inst.names.index("s1")
-    assert res.instance.edges[3][1] == inst.names.index("t1")
+    assert shaped.edges[0][0] == inst.names.index("s1")
+    assert shaped.edges[3][1] == inst.names.index("t1")
     # 3x3 grid: 9 cells = 9 internal edges + 6 right + 6 down, after the 6
-    assert res.instance.n_edges == 6 + 21
+    assert shaped.n_edges == 6 + 21
 
 
 def test_structure_preserves_multiflow():
@@ -170,9 +168,9 @@ def test_structure_preserves_multiflow():
         [("s", "t", 1)],
     )
     assert max_flow(inst, 0) == 2
-    res = structure(inst)
-    assert internal_degree_ok(res.instance)
-    assert max_flow(res.instance, 0) == 2
+    shaped = structure(inst)
+    assert internal_degree_ok(shaped)
+    assert max_flow(shaped, 0) == 2
 
 
 def test_structured_paths_are_vertex_disjoint():
@@ -187,15 +185,15 @@ def test_structured_paths_are_vertex_disjoint():
         ],
         [("s", "t")],
     )
-    res = structure(inst)
-    assert internal_degree_ok(res.instance)
-    k = max_flow(res.instance, 0)
+    shaped = structure(inst)
+    assert internal_degree_ok(shaped)
+    k = max_flow(shaped, 0)
     assert k == 2
-    paths = edge_disjoint_paths(res.instance, 0, k)
-    s = res.instance.sessions[0]
+    paths = edge_disjoint_paths(shaped, 0, k)
+    s = shaped.sessions[0]
     interiors = []
     for p in paths:
-        nodes = path_nodes(res.instance, p)
+        nodes = path_nodes(shaped, p)
         assert nodes[0] == s.source and nodes[-1] == s.terminal
         interiors.append(set(nodes[1:-1]))
     assert not interiors[0] & interiors[1]
@@ -207,10 +205,8 @@ def test_structure_exempts_endpoints():
          ("c", "t"), ("d", "t")],
         [("s", "t")],
     )
-    res = structure(inst)
     # source and terminal have degree 4 but are exempt
-    assert res.gadget_nodes == ()
-    assert res.instance == inst
+    assert structure(inst) == inst
 
 
 def test_lift_identity_structuring():
@@ -222,8 +218,7 @@ def test_lift_identity_structuring():
     plan = {0: (1, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1), 4: (1, 1), 5: (1, 1),
             6: (1, 1)}
     code = code_from_plan(inst, 2, 1, plan)
-    res = structure(inst)
-    lifted = lift_code(res, inst, code)
+    lifted = lift_code(structure(inst), inst, code)
     assert lifted == code
 
 
@@ -241,8 +236,8 @@ def test_lift_through_gadget():
         ],
         [("s1", "t1"), ("s2", "t2"), ("s3", "t3")],
     )
-    res = structure(inst)
-    paths = [edge_disjoint_paths(res.instance, i, 1)[0] for i in range(3)]
+    shaped = structure(inst)
+    paths = [edge_disjoint_paths(shaped, i, 1)[0] for i in range(3)]
     plan = {}
     for i, p in enumerate(paths):
         for eid in p:
@@ -250,9 +245,9 @@ def test_lift_through_gadget():
             vec[i] = 1
             assert eid not in plan
             plan[eid] = tuple(vec)
-    code = code_from_plan(res.instance, 2, 1, plan)
-    assert verify_code(res.instance, code).all_pass
-    lifted = lift_code(res, inst, code)
+    code = code_from_plan(shaped, 2, 1, plan)
+    assert verify_code(shaped, code).all_pass
+    lifted = lift_code(shaped, inst, code)
     assert verify_code(inst, lifted).all_pass
     vectors = propagate(inst, lifted)
     # hub edges carry exactly their session's symbol
@@ -261,9 +256,9 @@ def test_lift_through_gadget():
 
 def test_lift_refuses_broken_code():
     inst = high_degree_hub()
-    res = structure(inst)
+    shaped = structure(inst)
     with pytest.raises(CodeError, match="refusing"):
-        lift_code(res, inst, NetworkCode(2, 1, (EMPTY_RULE,) * res.instance.n_edges))
+        lift_code(shaped, inst, NetworkCode(2, 1, (EMPTY_RULE,) * shaped.n_edges))
 
 
 def test_overlap_segments_basic():
@@ -326,12 +321,10 @@ def small_instance(draw):
 @given(small_instance())
 def test_minimize_random_postcondition(inst):
     before = connectivity_level(inst)
-    res = minimize(inst)
-    assert connectivity_level(res.instance) == before
-    for eid in range(res.instance.n_edges):
-        sub, _ = res.instance.keep_edges(
-            [e for e in range(res.instance.n_edges) if e != eid]
-        )
+    minimal, _ = minimize(inst)
+    assert connectivity_level(minimal) == before
+    for eid in range(minimal.n_edges):
+        sub, _ = minimal.keep_edges([e for e in range(minimal.n_edges) if e != eid])
         assert any(a < b for a, b in zip(connectivity_level(sub), before))
 
 
@@ -342,13 +335,13 @@ def test_structure_random_postconditions(raw):
     # at sources, no out-edges at terminals), so no session endpoint can sit
     # in the middle of another session's path
     inst = attach_endpoints(raw, connectivity_level(raw))
-    res = structure(inst)
-    assert internal_degree_ok(res.instance)
-    assert connectivity_level(res.instance) == connectivity_level(inst)
+    shaped = structure(inst)
+    assert internal_degree_ok(shaped)
+    assert connectivity_level(shaped) == connectivity_level(inst)
     # per-session edge-disjoint paths are internally vertex-disjoint
     for i in range(len(inst.sessions)):
-        paths = edge_disjoint_paths(res.instance, i)
-        interiors = [set(path_nodes(res.instance, p)[1:-1]) for p in paths]
+        paths = edge_disjoint_paths(shaped, i)
+        interiors = [set(path_nodes(shaped, p)[1:-1]) for p in paths]
         for a in range(len(interiors)):
             for b in range(a + 1, len(interiors)):
                 assert not interiors[a] & interiors[b]
@@ -419,9 +412,8 @@ def test_minimize_long_chain_does_not_recurse():
     names = tuple(f"n{i}" for i in range(n))
     edges = tuple((i + 1, i) for i in range(n - 1))
     inst = UnicastInstance(names, edges, (Session(n - 1, 0, 1),))
-    result = minimize(inst)
-    assert result.removed == ()
-    assert result.edge_map == tuple(range(n - 1))
+    _, kept = minimize(inst)
+    assert kept == tuple(range(n - 1))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -443,7 +435,7 @@ SAMPLED = (
 def test_minimize_matches_oracle_on_sampled_suites(k):
     inst = SAMPLED[k]
     assert_matches_oracle(inst)
-    shaped = structure(inst).instance
+    shaped = structure(inst)
     assert minimize(shaped) == minimize_reference(shaped)
 
 
@@ -474,8 +466,7 @@ def test_structure_keeps_every_original_edge_id(inst):
     # the id rule the structure .map sidecar, assign_133 and lift_code share:
     # input edge e is edge e of the result, between its own endpoints or
     # crossbar nodes of a replaced one, and every later id is crossbar-internal
-    res = structure(inst)
-    shaped, replaced = res.instance, set(res.gadget_nodes)
+    shaped, replaced = structure(inst), set(_wide_nodes(inst))
 
     def crossbar_of(node):
         """The replaced input node a new node belongs to, by its name."""
@@ -492,3 +483,8 @@ def test_structure_keeps_every_original_edge_id(inst):
     for u, v in shaped.edges[inst.n_edges :]:
         assert crossbar_of(u) in replaced
         assert crossbar_of(v) == crossbar_of(u)
+    # an input node with edges is left with none exactly when it is replaced
+    for v in range(inst.n_nodes):
+        if inst.in_edges[v] or inst.out_edges[v]:
+            bare = not shaped.in_edges[v] and not shaped.out_edges[v]
+            assert bare == (v in replaced)
