@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -65,15 +66,30 @@ class UnicastInstance:
     sessions: tuple[Session, ...]
     out_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     in_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    topo_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # a topological order proved by pos[tail] < pos[head] on every edge, and
+    # whether it is ``topo_order``
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _canonical: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.names)
-        if len(set(self.names)) != n:
+        self._check()
+        # the sort proves acyclicity here, so its result is stored at once
+        # rather than through the cached_property's first read
+        order = self._toposort()
+        for attr, value in (("_order", order), ("_canonical", True), ("topo_order", order)):
+            object.__setattr__(self, attr, value)
+
+    def _check(self) -> None:
+        """Every structural check but acyclicity; fills the adjacency."""
+        names, n = self.names, len(self.names)
+        if len(set(names)) != n:
             raise InstanceError("duplicate node names")
-        for name in self.names:
-            if not _valid_name(name):
-                raise InstanceError(f"invalid node name {name!r}")
+        # one pass in C over all names; the loop only names the offender
+        joined = " ".join(names)
+        if "#" in joined or joined.split() != list(names):
+            for name in names:
+                if not _valid_name(name):
+                    raise InstanceError(f"invalid node name {name!r}")
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(self.edges):
@@ -86,9 +102,46 @@ class UnicastInstance:
         for s in self.sessions:
             if not (0 <= s.source < n and 0 <= s.terminal < n):
                 raise InstanceError("session references unknown node")
-        object.__setattr__(self, "out_edges", tuple(tuple(e) for e in out))
-        object.__setattr__(self, "in_edges", tuple(tuple(e) for e in inc))
-        object.__setattr__(self, "topo_order", self._toposort())
+        object.__setattr__(self, "out_edges", tuple(map(tuple, out)))
+        object.__setattr__(self, "in_edges", tuple(map(tuple, inc)))
+
+    @classmethod
+    def _derived(
+        cls,
+        names: tuple[str, ...],
+        edges: tuple[tuple[int, int], ...],
+        sessions: tuple[Session, ...],
+        order: Sequence[int],
+        canonical: bool = False,
+    ) -> UnicastInstance:
+        """An instance built from another, with every check of the
+        constructor, but acyclicity proved by ``order`` rather than by a sort.
+
+        ``order`` is a candidate topological order the caller derives from
+        its source instance; ``canonical`` says it is also the smallest one
+        (the same node pairs as the source, whose ``topo_order`` it is).  A
+        candidate that fails falls back to the sort, which names a cycle.
+        """
+        inst = object.__new__(cls)
+        for attr, value in (("names", names), ("edges", edges), ("sessions", sessions)):
+            object.__setattr__(inst, attr, value)
+        inst._check()
+        # a permutation of the nodes with every tail before its head proves
+        # the graph acyclic
+        proved = sorted(order) == list(range(len(names)))
+        if proved:
+            pos = [0] * len(names)
+            for i, v in enumerate(order):
+                pos[v] = i
+            proved = all(pos[u] < pos[v] for u, v in edges)
+        if not proved:
+            order, canonical = inst._toposort(), True
+        order = tuple(order)
+        object.__setattr__(inst, "_order", order)
+        object.__setattr__(inst, "_canonical", canonical)
+        if canonical:
+            object.__setattr__(inst, "topo_order", order)
+        return inst
 
     def _toposort(self) -> tuple[int, ...]:
         n = len(self.names)
@@ -107,6 +160,13 @@ class UnicastInstance:
         if len(order) != n:
             raise InstanceError("graph contains a directed cycle")
         return tuple(order)
+
+    @cached_property
+    def topo_order(self) -> tuple[int, ...]:
+        """The lexicographically smallest topological order.  A checked
+        instance holds it from the start, a derived one on the same node
+        pairs inherits it, and any other computes it on first read."""
+        return self._toposort()
 
     # -- basic queries ----------------------------------------------------
 
@@ -163,7 +223,9 @@ class UnicastInstance:
     # -- construction helpers ---------------------------------------------
 
     def with_sessions(self, sessions: Sequence[Session]) -> "UnicastInstance":
-        return UnicastInstance(self.names, self.edges, tuple(sessions))
+        return UnicastInstance._derived(
+            self.names, self.edges, tuple(sessions), self._order, self._canonical
+        )
 
     def keep_edges(self, keep: Iterable[int]) -> tuple["UnicastInstance", tuple[int, ...]]:
         """Sub-instance on a subset of edges.
@@ -172,11 +234,13 @@ class UnicastInstance:
         order.  Returns the new instance and the old id of each new id.
         """
         kept = tuple(sorted(set(keep)))
-        for e in kept:
-            if not 0 <= e < self.n_edges:
-                raise InstanceError(f"unknown edge id {e}")
+        if kept and not (0 <= kept[0] and kept[-1] < len(self.edges)):
+            bad = next(e for e in kept if not 0 <= e < len(self.edges))
+            raise InstanceError(f"unknown edge id {bad}")
         new_edges = tuple(self.edges[e] for e in kept)
-        return UnicastInstance(self.names, new_edges, self.sessions), kept
+        # fewer edges keep any order, but not always the smallest one
+        sub = UnicastInstance._derived(self.names, new_edges, self.sessions, self._order)
+        return sub, kept
 
 
 def build_instance(
@@ -352,21 +416,31 @@ def attach_endpoints(
     width[i] while any width[i] edge-disjoint paths survive below it, so
     the result has connectivity exactly min(width[i], previous max-flow)
     per session.  Original edge ids are preserved; attachments come after
-    them.
+    them.  A width missing or below 0 for some session raises
+    :class:`InstanceError`.
     """
     names = list(instance.names)
     taken = set(names)
     edges = list(instance.edges)
     sessions: list[Session] = []
     for i, s in enumerate(instance.sessions):
+        try:
+            w = width[i]
+        except LookupError:
+            raise InstanceError(f"no width given for session {i + 1}") from None
+        if w < 0:
+            raise InstanceError(f"session {i + 1}: width must be >= 0, got {w}")
         names.append(_fresh_name(f"~s{i + 1}", taken))
         src = len(names) - 1
         names.append(_fresh_name(f"~t{i + 1}", taken))
         dst = len(names) - 1
-        edges.extend([(src, s.source)] * width[i])
-        edges.extend([(s.terminal, dst)] * width[i])
+        edges.extend([(src, s.source)] * w)
+        edges.extend([(s.terminal, dst)] * w)
         sessions.append(Session(src, dst, s.rate))
-    return UnicastInstance(tuple(names), tuple(edges), tuple(sessions))
+    # fresh sources feed old nodes only and fresh terminals are fed only
+    fresh = range(instance.n_nodes, len(names))
+    order = (*fresh[::2], *instance._order, *fresh[1::2])
+    return UnicastInstance._derived(tuple(names), tuple(edges), tuple(sessions), order)
 
 
 def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
@@ -377,6 +451,11 @@ def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
     """
     if T < 1:
         raise InstanceError(f"T must be >= 1, got {T}")
+    if T == 1:
+        return instance  # the same edges and rates
     edges = tuple(edge for edge in instance.edges for _ in range(T))
     sessions = tuple(Session(s.source, s.terminal, s.rate * T) for s in instance.sessions)
-    return UnicastInstance(instance.names, edges, sessions)
+    # parallel copies join the same node pairs, so both orders carry over
+    return UnicastInstance._derived(
+        instance.names, edges, sessions, instance._order, instance._canonical
+    )

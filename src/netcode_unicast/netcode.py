@@ -66,17 +66,19 @@ class NetworkCode:
             )
         expanded = expand_time(instance, self.T)
         _checked_prime(self.q)
+        # a key is available at a tail when the tail is the head of that
+        # in-edge, or the source of that symbol's session
+        heads = [v for _, v in expanded.edges]
+        observers = [s.source for s in expanded.sessions for _ in range(s.rate)]
         for eid, rule in enumerate(self.rules):
-            tail = expanded.tail(eid)
-            allowed_in = set(expanded.in_edges[tail])
-            allowed_src = set(expanded.observed_symbols(tail))
-            for keys, allowed, what in (
-                (rule.in_coeffs, allowed_in, "in-edge"),
-                (rule.src_coeffs, allowed_src, "source symbol"),
+            tail = expanded.edges[eid][0]
+            for keys, at, what in (
+                (rule.in_coeffs, heads, "in-edge"),
+                (rule.src_coeffs, observers, "source symbol"),
             ):
                 prev = -1
                 for key, coeff in keys:
-                    if key not in allowed:
+                    if not (0 <= key < len(at) and at[key] == tail):
                         raise CodeError(
                             f"edge {eid}: coefficient on {what} {key} not "
                             f"available at its tail"
@@ -187,6 +189,10 @@ def code_from_plan(
         raise CodeError("plan vector on an edge outside the expanded instance")
     V = Vectors(q, expanded.n_symbols)
     rules: list[LocalRule] = [EMPTY_RULE] * expanded.n_edges
+    # only session sources observe symbols
+    observed_at = {s.source: expanded.observed_symbols(s.source) for s in expanded.sessions}
+    # along a path the same rows and target recur; each is solved once
+    solved: dict[tuple[tuple[Vector, ...], Vector], Vector | None] = {}
     for eid in expanded.edges_in_topo_order():
         target = plan.get(eid)
         if target is None:
@@ -195,9 +201,11 @@ def code_from_plan(
             raise CodeError(f"edge {eid}: plan vector has the wrong length")
         tail = expanded.tail(eid)
         in_ids = expanded.in_edges[tail]
-        observed = expanded.observed_symbols(tail)
-        rows = [plan.get(j, V.zero) for j in in_ids] + [V.unit(k) for k in observed]
-        coeffs = in_span(target, rows, q)
+        observed = observed_at.get(tail, ())
+        rows = (*[plan.get(j, V.zero) for j in in_ids], *[V.unit(k) for k in observed])
+        if (rows, target) not in solved:
+            solved[rows, target] = in_span(target, rows, q)
+        coeffs = solved[rows, target]
         if coeffs is None:
             raise CodeError(f"edge {eid}: plan vector not realizable at its tail")
         rules[eid] = LocalRule.over(in_ids, observed, coeffs)

@@ -399,10 +399,11 @@ def test_code_checks_each_fact_once(tmp_path, monkeypatch):
     rc, out, _ = run_cli("code", src, "-o", out_path)
     assert rc == 0 and "RESULT: code q=2 T=2" in out
     # minimize twice per layer, the constructor's one verify, and one span
-    # solve per planned edge plus one per terminal symbol; every edge a flow
-    # uses here is critical from the start, so no detour search runs (226
-    # when each was searched)
-    assert calls == {"minimize": 4, "verify_code": 1, "in_span": 63, "detour": 0}
+    # solve per distinct (rows, target) of a planned edge (63 in all when
+    # each planned edge was solved) plus one per terminal symbol; every edge
+    # a flow uses here is critical from the start, so no detour search runs
+    # (226 when each was searched)
+    assert calls == {"minimize": 4, "verify_code": 1, "in_span": 32, "detour": 0}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 """Instance model, file round-trips, endpoint attachment, time expansion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_flows import random_dag_instance
 
 from netcode_unicast.flows import connectivity_level
 from netcode_unicast.graph import (
@@ -14,6 +17,8 @@ from netcode_unicast.graph import (
     parse_instance,
     serialize_instance,
 )
+from netcode_unicast.oracle import gen_fig1
+from netcode_unicast.transform import structure
 
 BUTTERFLY = """\
 # classic butterfly, two unit sessions
@@ -171,6 +176,19 @@ def test_attach_endpoints_fresh_names_avoid_collisions():
     assert capped.names[capped.sessions[0].source] == "~s1~"
 
 
+def test_attach_endpoints_refuses_a_negative_or_missing_width():
+    fig1 = gen_fig1()
+    with pytest.raises(InstanceError, match="session 1: width must be >= 0, got -2"):
+        attach_endpoints(fig1, [-2] * 2)
+    with pytest.raises(InstanceError, match="no width given for session 2"):
+        attach_endpoints(fig1, {0: 1})
+    with pytest.raises(InstanceError, match="no width given for session 2"):
+        attach_endpoints(fig1, [1])
+    # width 0 is a cap at 0, not an error
+    assert connectivity_level(attach_endpoints(fig1, {0: 0, 1: 1})) == (0, 1)
+    assert connectivity_level(attach_endpoints(fig1, [2, 2])) == (2, 2)
+
+
 def test_expand_time_ids_and_lineage():
     inst = build_instance([("s", "a"), ("a", "t")], [("s", "t", 2)])
     ex = expand_time(inst, 3)
@@ -182,6 +200,11 @@ def test_expand_time_ids_and_lineage():
     assert expand_time(inst, 1).edges == inst.edges
     with pytest.raises(InstanceError):
         expand_time(inst, 0)
+
+
+def test_expand_time_at_one_slot_is_the_instance():
+    inst = build_instance([("s", "a"), ("a", "t")], [("s", "t", 2)])
+    assert expand_time(inst, 1) is inst
 
 
 def test_instance_structural_validation():
@@ -203,3 +226,110 @@ def test_valid_name_agrees_with_a_per_character_check():
     names += ["", " ", "a ", " a", "\ta", "a\n", "\u3000a", "a\x85", "#", "a#"]
     assert [_valid_name(n) for n in names] == [per_character(n) for n in names]
     assert not all(_valid_name(n) for n in names)
+
+
+# -- derived instances: checked, and acyclic by a certified order -------------
+
+
+def _checked(inst):
+    """``inst`` rebuilt through the constructor, which sorts its nodes anew."""
+    return UnicastInstance(inst.names, inst.edges, inst.sessions)
+
+
+def _assert_as_checked(derived):
+    ref = _checked(derived)
+    assert (derived.names, derived.edges, derived.sessions) == (ref.names, ref.edges, ref.sessions)
+    assert derived.out_edges == ref.out_edges
+    assert derived.in_edges == ref.in_edges
+    assert derived.topo_order == ref.topo_order
+
+
+@st.composite
+def derivation_chains(draw):
+    """A random DAG with node ids shuffled, so its smallest order is not the
+    identity, and up to three derivations applied in turn."""
+    base = draw(random_dag_instance(max_nodes=6, max_sessions=3))
+    perm = draw(st.permutations(range(base.n_nodes)))
+    names = [""] * base.n_nodes
+    for old, new in enumerate(perm):
+        names[new] = base.names[old]
+    inst = UnicastInstance(
+        tuple(names),
+        tuple((perm[u], perm[v]) for u, v in base.edges),
+        tuple(Session(perm[s.source], perm[s.terminal], s.rate) for s in base.sessions),
+    )
+    steps = draw(st.lists(st.sampled_from(["keep", "sessions", "time", "structure", "attach"]),
+                          min_size=1, max_size=3))
+    chain = [("checked", inst)]
+    for step in steps:
+        if step == "keep":
+            keep = draw(st.sets(st.integers(0, max(inst.n_edges - 1, 0))))
+            inst = inst.keep_edges(e for e in keep if e < inst.n_edges)[0]
+        elif step == "sessions":
+            inst = inst.with_sessions(inst.sessions[::-1])
+        elif step == "time":
+            inst = expand_time(inst, draw(st.integers(1, 3)))
+        elif step == "structure":
+            inst = structure(inst)
+        else:
+            widths = draw(st.lists(st.integers(0, 2), min_size=len(inst.sessions),
+                                   max_size=len(inst.sessions)))
+            inst = attach_endpoints(inst, widths)
+        chain.append((step, inst))
+    return chain
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(derivation_chains())
+def test_derived_instances_equal_checked_ones(chain):
+    for (_, parent), (step, inst) in zip(chain, chain[1:]):
+        # no derivation sorts: its candidate order is proved as it stands,
+        # and only the same node pairs inherit the smallest order
+        assert inst._canonical == (step in ("sessions", "time") and parent._canonical)
+    # read the orders last, so each derivation started from a parent whose
+    # smallest order was never computed unless the parent was checked
+    for _, inst in chain[1:]:
+        _assert_as_checked(inst)
+
+
+def test_derived_sorts_only_when_the_candidate_fails():
+    inst = build_instance([("b", "a"), ("a", "c"), ("b", "c")], [("b", "c")])
+    b, a, c = 0, 1, 2
+    proved = UnicastInstance._derived(inst.names, inst.edges, inst.sessions, (b, a, c))
+    assert proved._order == (b, a, c) and "topo_order" not in vars(proved)
+    # a stale candidate on an acyclic graph falls back to the sort
+    stale = UnicastInstance._derived(inst.names, inst.edges, inst.sessions, (c, a, b))
+    assert stale._order == stale.topo_order == (0, 1, 2)
+    for wrong in ((0, 1), (0, 0, 1), (0, 1, 5)):
+        again = UnicastInstance._derived(inst.names, inst.edges, inst.sessions, wrong)
+        assert again.topo_order == (0, 1, 2)
+
+
+def test_derived_refuses_a_cycle_under_a_stale_order():
+    with pytest.raises(InstanceError, match="graph contains a directed cycle"):
+        UnicastInstance._derived(
+            ("a", "b", "c"), ((0, 1), (1, 2), (2, 0)), (Session(0, 2),), (0, 1, 2)
+        )
+
+
+@pytest.mark.parametrize(
+    "names,edges,sessions,needle",
+    [
+        (("a", "b"), ((0, 0),), (Session(0, 1),), "edge 0 is a self-loop"),
+        (("a", "b"), ((0, 2),), (Session(0, 1),), "edge 0 references unknown node"),
+        (("a", "b"), ((-1, 1),), (Session(0, 1),), "edge 0 references unknown node"),
+        (("a", "a"), (), (), "duplicate node names"),
+        (("a", "b c"), (), (), "invalid node name 'b c'"),
+        (("a", ""), (), (), "invalid node name ''"),
+        (("a#", "b"), (), (), "invalid node name 'a#'"),
+        (("a", "b\u3000"), (), (), "invalid node name"),
+        (("a", "b"), ((0, 1),), (Session(0, 5),), "session references unknown node"),
+    ],
+)
+def test_derived_runs_every_check_of_the_constructor(names, edges, sessions, needle):
+    for build in (
+        lambda: UnicastInstance(names, edges, sessions),
+        lambda: UnicastInstance._derived(names, edges, sessions, range(len(names))),
+    ):
+        with pytest.raises(InstanceError, match=needle):
+            build()

@@ -113,6 +113,29 @@ def test_validate_errors():
         propagate(BUTTERFLY, unsorted)
 
 
+@pytest.mark.parametrize(
+    "eid,rule,message",
+    [
+        # edge 2 (s1 -> t2) does not end at edge 4's tail a
+        (4, LocalRule(in_coeffs=((2, 1),)), "edge 4: coefficient on in-edge 2 not available"),
+        (4, LocalRule(in_coeffs=((-1, 1),)), "edge 4: coefficient on in-edge -1 not available"),
+        (4, LocalRule(in_coeffs=((7, 1),)), "edge 4: coefficient on in-edge 7 not available"),
+        # symbol 1 is injected at s2, not at edge 0's tail s1
+        (0, LocalRule(src_coeffs=((1, 1),)), "edge 0: coefficient on source symbol 1 not"),
+        (0, LocalRule(src_coeffs=((-1, 1),)), "edge 0: coefficient on source symbol -1 not"),
+        (0, LocalRule(src_coeffs=((2, 1),)), "edge 0: coefficient on source symbol 2 not"),
+        (4, LocalRule(src_coeffs=((0, 1),)), "edge 4: coefficient on source symbol 0 not"),
+        (4, LocalRule(in_coeffs=((1, 1), (1, 1))), "edge 4: in-edge keys must ascend"),
+        (4, LocalRule(in_coeffs=((0, 1), (1, 2))), "edge 4: coefficient 2 outside GF\\(2\\)"),
+    ],
+)
+def test_validate_names_each_fault(eid, rule, message):
+    rules = list(BUTTERFLY_CODE.rules)
+    rules[eid] = rule
+    with pytest.raises(CodeError, match=message):
+        NetworkCode(2, 1, tuple(rules)).validate(BUTTERFLY)
+
+
 def test_vector_code_on_expanded_edges():
     inst = build_instance([("s", "t"), ("s", "t")], [("s", "t", 1)])
     # T=2: four expanded edges, rate 2, symbols x0 x1
