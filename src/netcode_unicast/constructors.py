@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .flows import connectivity_level, edge_disjoint_paths
 from .gf import Vector, Vectors
-from .graph import Session, UnicastInstance, attach_endpoints
+from .graph import Session, UnicastInstance, _bounded_expansion, attach_endpoints
 from .netcode import CodeError, NetworkCode, code_from_plan, is_routing, verify_code
 from .transform import internal_degree_ok, minimize, overlap_segments, structure
 
@@ -35,7 +35,9 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
 
     Session alpha owns time layer alpha and routes its n expanded symbols
     over n edge-disjoint paths inside that layer, so no edge ever mixes
-    symbols.  Requires unit rates and at most n sessions.
+    symbols.  Requires unit rates and at most n sessions, and refuses with
+    :class:`~netcode_unicast.graph.InstanceError` an n-slot expansion above
+    ``graph.MAX_EXPANDED_EDGES`` edges before planning.
     """
     levels = _levels or connectivity_level(instance)
     n = levels[0]
@@ -45,6 +47,7 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
         raise NotApplicable("unit session rates required")
     if len(levels) > n:
         raise NotApplicable(f"{len(levels)} sessions cannot each own one of {n} time layers")
+    _bounded_expansion(instance, n)
     # the n-slot expansion multiplies every rate, and so every offset, by n
     V = Vectors(q, n * instance.n_symbols)
     plan: dict[int, Vector] = {}

@@ -15,7 +15,7 @@ first violating set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Container, Sequence
+from typing import Collection, Container, Iterator, Sequence
 
 from .graph import InstanceError, UnicastInstance
 
@@ -107,26 +107,31 @@ def _flip(
 
 
 def _residual_components(instance: UnicastInstance, flow: Sequence[int]) -> list[int]:
-    """Strongly-connected-component id of every node in the residual graph
-    of the 0/1 ``flow`` over all edges, by an iterative Tarjan.
+    """Strongly-connected-component id, in the residual graph of the 0/1
+    ``flow`` over all edges, of every node an iterative Tarjan reaches from
+    the tails of the flow edges; the nodes it does not reach keep -1.
 
     The arcs are those :func:`_augment` follows: u -> v on an empty edge
     (u, v), v -> u on a flow edge.  A flow edge (u, v) thus has a u -> v
     detour, its own unit dropped, exactly when u and v share a component.
+    Rooting the search at the flow tails keeps that exact: if u and v share
+    a component, v is reached from u and both get its id.
     """
     n = instance.n_nodes
     succ: list[list[int]] = [[] for _ in range(n)]
+    roots: list[int] = []
     for e, (u, v) in enumerate(instance.edges):
         if flow[e]:
             succ[v].append(u)
+            roots.append(u)
         else:
             succ[u].append(v)
     index = [-1] * n
     low = [0] * n
-    comp = [-1] * n  # -1 while a visited node is still on the stack
+    comp = [-1] * n  # also -1 while a visited node is still on the stack
     stack: list[int] = []
     count = n_comps = 0
-    for root in range(n):
+    for root in roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = count
@@ -200,13 +205,17 @@ def edge_disjoint_paths(
         k = value
     if k > value:
         raise InstanceError(f"requested {k} paths but max-flow is {value}")
+    # each node's flow out-edges, ascending, listed when a walk first
+    # reaches it; a walk leaves by the first one no walk has taken
+    unused: dict[int, Iterator[int]] = {}
     paths: list[tuple[int, ...]] = []
     for _ in range(k):
         node = s.source
         trail: list[int] = []
         while node != s.terminal:
-            eid = next(e for e in instance.out_edges[node] if flow[e] > 0)
-            flow[eid] -= 1
+            if node not in unused:
+                unused[node] = iter([e for e in instance.out_edges[node] if flow[e]])
+            eid = next(unused[node])
             trail.append(eid)
             node = instance.head(eid)
         paths.append(tuple(trail))

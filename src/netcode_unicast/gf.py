@@ -6,9 +6,9 @@ fits: plain tuples of n ints in ``range(q)``, hashable because the search
 uses them as memo keys.  The one elimination routine, :func:`_reduce`, is
 written directly instead of pulling in a numerics dependency.  It reduces
 one row against an echelon basis: ``in_span`` builds its basis from the rows
-in order and reads the target's coefficients off the combinations the basis
-rows carry, and :meth:`Vectors.extend` keeps a span as its reduced row
-echelon basis.
+in order, once for any number of targets, and reads each target's
+coefficients off the combinations the basis rows carry, and
+:meth:`Vectors.extend` keeps a span as its reduced row echelon basis.
 """
 
 from __future__ import annotations
@@ -126,33 +126,60 @@ def _reduce(
     return -1
 
 
-def in_span(target: Vector, rows: Sequence[Vector], q: int) -> Vector | None:
-    """Express ``target`` as a combination of ``rows`` over GF(q).
+def in_span(
+    targets: Sequence[Vector], rows: Sequence[Vector], q: int
+) -> list[Vector | None]:
+    """Express each of ``targets`` as a combination of ``rows`` over GF(q).
 
-    Returns the coefficient tuple (one entry per row), or None when
-    ``target`` is outside the span.  The rows are reduced in order into an
-    echelon basis; each basis row carries, after the n columns of the
-    vector, the combination of input rows it stands for.  A row that
-    reduces to zero depends on those before it and keeps coefficient 0, so
-    the answer is the unique expression of ``target`` in the rows
+    Returns, per target, the coefficient tuple (one entry per row), or None
+    when that target is outside the span.  One elimination serves every
+    target: the rows are reduced in order into an echelon basis, and each
+    basis row carries, after the n columns of the vector, the combination
+    of the independent rows it stands for, one tag column per basis row.
+    The basis has at most min(n, rows) members, so the tags are sized by
+    rank, not by the number of rows, and each tag maps back to its input
+    row's index.  A row that reduces to zero depends on those before it and
+    keeps coefficient 0; once the basis has n members every later row does.
+    So each answer is the unique expression of its target in the rows
     independent of their predecessors.
     """
-    n, m = len(target), len(rows)
+    if not targets:
+        return []
+    n, m = len(targets[0]), len(rows)
+    if any(len(v) != n for v in (*targets, *rows)):
+        raise ValueError("vector length mismatch")
+    rank = min(n, m)
     basis: list[tuple[int, list[int]]] = []
+    independent: list[int] = []  # the input row behind each basis row
     for j, r in enumerate(rows):
-        if len(r) != n:
-            raise ValueError("vector length mismatch")
-        row = [x % q for x in r] + [0] * m
-        row[n + j] = 1
+        if len(basis) == rank:
+            break
+        if not any(r):
+            continue  # zero, so dependent, however the other rows lie
+        row = [x % q for x in r] + [0] * rank
+        row[n + len(basis)] = 1
         col = _reduce(row, basis, n, q)
         if col >= 0:
             basis.append((col, row))
-    want = [x % q for x in target]
-    # target - sum(c_k * b_k) leaves -sum(c_k * tag_k) in the tag columns
-    rest = want + [0] * m
-    if _reduce(rest, basis, n, q) >= 0:
-        return None
-    coeffs = tuple([-c % q for c in rest[n:]])
-    if Vectors(q, n).combine(coeffs, rows) != tuple(want):
-        return None
-    return coeffs
+            independent.append(j)
+    V = Vectors(q, n)
+    picked = [rows[j] for j in independent]
+    answers: list[Vector | None] = []
+    for target in targets:
+        want = tuple([x % q for x in target])
+        # target - sum(c_k * b_k) leaves -sum(c_k * tag_k) in the tag columns
+        rest = list(want) + [0] * rank
+        if _reduce(rest, basis, n, q) >= 0:
+            answers.append(None)
+            continue
+        used = [-c % q for c in rest[n : n + len(picked)]]
+        # every other row has coefficient 0, so the picked rows alone must
+        # sum to the target
+        if V.combine(used, picked) != want:
+            answers.append(None)
+            continue
+        coeffs = [0] * m
+        for j, c in zip(independent, used):
+            coeffs[j] = c
+        answers.append(tuple(coeffs))
+    return answers

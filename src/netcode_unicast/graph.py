@@ -70,6 +70,10 @@ class UnicastInstance:
     # whether it is ``topo_order``
     _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _canonical: bool = field(init=False, repr=False, compare=False)
+    # (T, the T-slot expansion) kept by the last ``expand_time`` with T > 1
+    _expansion: tuple[int, UnicastInstance] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._check()
@@ -185,11 +189,10 @@ class UnicastInstance:
         return self.edges[eid][1]
 
     def edges_in_topo_order(self) -> list[int]:
-        """Edge ids ordered so every edge appears after its tail's in-edges."""
-        pos = [0] * self.n_nodes
-        for i, v in enumerate(self.topo_order):
-            pos[v] = i
-        return sorted(range(self.n_edges), key=lambda e: (pos[self.edges[e][0]], e))
+        """Edge ids ordered so every edge appears after its tail's in-edges:
+        by the tail's place in ``topo_order``, then by id."""
+        out_edges = self.out_edges
+        return [e for v in self.topo_order for e in out_edges[v]]
 
     # -- symbol layout ----------------------------------------------------
 
@@ -279,6 +282,11 @@ def build_instance(
 # cap=c becomes c parallel edges and rate=r becomes r symbols per time step,
 # so a larger value is refused before anything is allocated for it
 MAX_COUNT = 2**16
+# n_edges * T, the edges of a T-slot expansion, which ``code`` (in
+# route_uniform) and ``verify`` (in NetworkCode.validate) refuse to exceed;
+# the slowest accepted ``code`` measured, 34 unit sessions each over one
+# edge of capacity 34, takes about 1.9 s of CPU on a 2-core Xeon
+MAX_EXPANDED_EDGES = 200 * 200
 
 
 def _bounded_count(token: str, what: str, lineno: int) -> int:
@@ -448,6 +456,8 @@ def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
 
     Every edge becomes T parallel copies (copy tau of edge e gets id
     ``e * T + tau``); session rates multiply by T; nodes are unchanged.
+    The expansion is kept on ``instance``, as ``topo_order`` is, so the code
+    layer expands each instance once to build a code and check it.
     """
     if T < 1:
         raise InstanceError(f"T must be >= 1, got {T}")
@@ -456,6 +466,18 @@ def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
     edges = tuple(edge for edge in instance.edges for _ in range(T))
     sessions = tuple(Session(s.source, s.terminal, s.rate * T) for s in instance.sessions)
     # parallel copies join the same node pairs, so both orders carry over
-    return UnicastInstance._derived(
+    expanded = UnicastInstance._derived(
         instance.names, edges, sessions, instance._order, instance._canonical
     )
+    object.__setattr__(instance, "_expansion", (T, expanded))
+    return expanded
+
+
+def _bounded_expansion(instance: UnicastInstance, T: int) -> None:
+    """Refuse, before anything is built, a T-slot expansion of more than
+    ``MAX_EXPANDED_EDGES`` edges."""
+    if instance.n_edges * T > MAX_EXPANDED_EDGES:
+        raise InstanceError(
+            f"the {T}-slot expansion has {instance.n_edges * T} edges,"
+            f" above the bound of {MAX_EXPANDED_EDGES}"
+        )

@@ -6,7 +6,9 @@ local rule: coefficients over the in-edges of its tail plus injection
 coefficients over the source symbols observed there.  Global coding vectors
 (length L = total expanded rate) follow by topological propagation, and a
 terminal decodes iff its own unit vectors lie in the span of its in-edge
-vectors.
+vectors, which one elimination of those vectors answers for all of them.
+Realizing a plan and checking the code it gives share one expansion of the
+instance: :func:`~netcode_unicast.graph.expand_time` keeps it there.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Vector, Vectors, _checked_prime, in_span
-from .graph import UnicastInstance, expand_time
+from .graph import UnicastInstance, _bounded_expansion, expand_time
 
 
 class CodeError(ValueError):
@@ -64,7 +66,8 @@ class NetworkCode:
                 f"code covers {len(self.rules)} edges, expanded instance has "
                 f"{instance.n_edges * self.T}"
             )
-        expanded = expand_time(instance, self.T)
+        _bounded_expansion(instance, self.T)
+        expanded = _expanded(instance, self.T)
         _checked_prime(self.q)
         # a key is available at a tail when the tail is the head of that
         # in-edge, or the source of that symbol's session
@@ -93,6 +96,18 @@ class NetworkCode:
         return expanded
 
 
+def _expanded(instance: UnicastInstance, T: int) -> UnicastInstance:
+    """``instance`` over T slots, expanded only if it has no such expansion
+    yet: at T = 1 it is its own, and :func:`expand_time` keeps the last one
+    it builds on the instance."""
+    if T == 1:
+        return instance
+    kept = instance._expansion
+    if kept is not None and kept[0] == T:
+        return kept[1]
+    return expand_time(instance, T)
+
+
 def propagate(instance: UnicastInstance, code: NetworkCode) -> tuple[Vector, ...]:
     """Global coding vectors per expanded edge, in topological edge order."""
     return _propagate(code.validate(instance), code)
@@ -103,7 +118,9 @@ def _propagate(expanded: UnicastInstance, code: NetworkCode) -> tuple[Vector, ..
     vectors: list[Vector] = [V.zero] * expanded.n_edges
     for eid in expanded.edges_in_topo_order():
         ins, srcs = code.rules[eid].in_coeffs, code.rules[eid].src_coeffs
-        if ins or srcs:  # an empty rule keeps the one zero vector
+        if not srcs and len(ins) == 1 and ins[0][1] == 1:
+            vectors[eid] = vectors[ins[0][0]]  # a copy is the same vector
+        elif ins or srcs:  # an empty rule keeps the one zero vector
             vectors[eid] = V.combine(
                 [c for _, c in ins + srcs],
                 [vectors[j] for j, _ in ins] + [V.unit(k) for k, _ in srcs],
@@ -147,9 +164,7 @@ def verify_code(instance: UnicastInstance, code: NetworkCode) -> VerifyResult:
     for i, session in enumerate(expanded.sessions):
         fed = tuple(expanded.in_edges[session.terminal])
         rows = [vectors[e] for e in fed]
-        decoders: list[Vector | None] = []
-        for k in expanded.session_symbols(i):
-            decoders.append(in_span(V.unit(k), rows, code.q))
+        decoders = in_span([V.unit(k) for k in expanded.session_symbols(i)], rows, code.q)
         reports.append(
             TerminalReport(
                 session=i,
@@ -164,8 +179,8 @@ def verify_code(instance: UnicastInstance, code: NetworkCode) -> VerifyResult:
 def is_routing(vectors: Iterable[Vector]) -> bool:
     """True when every vector carries at most one symbol, with coefficient 1."""
     for vec in vectors:
-        nonzero = [c for c in vec if c != 0]
-        if len(nonzero) > 1 or (nonzero and nonzero[0] != 1):
+        nonzero = len(vec) - vec.count(0)
+        if nonzero > 1 or (nonzero and 1 not in vec):
             return False
     return True
 
@@ -180,19 +195,24 @@ def code_from_plan(
 
     ``plan`` maps expanded edge ids to the vectors they must carry.  Missing
     edges carry zero and keep the empty rule.  Each planned edge's rule is
-    solved from its tail's in-edge vectors and observed unit injections;
-    unrealizable targets, and targets on edges the expanded instance lacks,
-    raise.
+    solved from its tail's in-edge vectors and observed unit injections,
+    one :func:`~netcode_unicast.gf.in_span` call per distinct set of those
+    rows for all the targets asked of it; unrealizable targets, and targets
+    on edges the expanded instance lacks, raise.
     """
-    expanded = expand_time(instance, T)
+    expanded = _expanded(instance, T)
     if any(not 0 <= eid < expanded.n_edges for eid in plan):
         raise CodeError("plan vector on an edge outside the expanded instance")
     V = Vectors(q, expanded.n_symbols)
     rules: list[LocalRule] = [EMPTY_RULE] * expanded.n_edges
     # only session sources observe symbols
     observed_at = {s.source: expanded.observed_symbols(s.source) for s in expanded.sessions}
-    # along a path the same rows and target recur; each is solved once
-    solved: dict[tuple[tuple[Vector, ...], Vector], Vector | None] = {}
+    # the planned out-edges of a tail, and tails whose in-edges carry the
+    # same vectors, ask of the same rows: each distinct row set is
+    # eliminated once, for every distinct target asked of it
+    by_rows: dict[tuple[Vector, ...], dict[Vector, Vector | None]] = {}
+    asked_at: dict[int, dict[Vector, Vector | None]] = {}
+    planned: list[tuple[int, int, Vector]] = []
     for eid in expanded.edges_in_topo_order():
         target = plan.get(eid)
         if target is None:
@@ -200,15 +220,22 @@ def code_from_plan(
         if len(target) != V.n:
             raise CodeError(f"edge {eid}: plan vector has the wrong length")
         tail = expanded.tail(eid)
-        in_ids = expanded.in_edges[tail]
-        observed = observed_at.get(tail, ())
-        rows = (*[plan.get(j, V.zero) for j in in_ids], *[V.unit(k) for k in observed])
-        if (rows, target) not in solved:
-            solved[rows, target] = in_span(target, rows, q)
-        coeffs = solved[rows, target]
+        if tail not in asked_at:
+            rows = (
+                *[plan.get(j, V.zero) for j in expanded.in_edges[tail]],
+                *[V.unit(k) for k in observed_at.get(tail, ())],
+            )
+            asked_at[tail] = by_rows.setdefault(rows, {})
+        asked_at[tail][target] = None
+        planned.append((eid, tail, target))
+    for rows, asked in by_rows.items():
+        targets = list(asked)
+        asked.update(zip(targets, in_span(targets, rows, q)))
+    for eid, tail, target in planned:
+        coeffs = asked_at[tail][target]
         if coeffs is None:
             raise CodeError(f"edge {eid}: plan vector not realizable at its tail")
-        rules[eid] = LocalRule.over(in_ids, observed, coeffs)
+        rules[eid] = LocalRule.over(expanded.in_edges[tail], observed_at.get(tail, ()), coeffs)
     return NetworkCode(q, T, tuple(rules))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import math
 import re
 import sys
 import time
@@ -30,7 +31,7 @@ from netcode_unicast import (
     serialize_code,
     verify_code,
 )
-from netcode_unicast import constructors, flows, netcode, oracle, transform
+from netcode_unicast import constructors, flows, graph, netcode, oracle, transform
 from netcode_unicast.cli import main
 from netcode_unicast.netcode import TerminalReport
 from test_netcode import BUTTERFLY, BUTTERFLY_CODE, with_global_lines
@@ -380,7 +381,7 @@ def test_code_triple_splits_lowest_session(tmp_path):
 def test_code_checks_each_fact_once(tmp_path, monkeypatch):
     src, out_path = str(tmp_path / "t.txt"), str(tmp_path / "t.code")
     save_instance(sample_triple(3, (1, 3, 3)), src)
-    calls = dict.fromkeys(("minimize", "verify_code", "in_span"), 0)
+    calls = dict.fromkeys(("minimize", "verify_code", "in_span", "expand_time"), 0)
 
     def counting(name, real):
         def counted(*args, **kwargs):
@@ -398,12 +399,15 @@ def test_code_checks_each_fact_once(tmp_path, monkeypatch):
     monkeypatch.setattr(transform, "_augment", counting("detour", transform._augment))
     rc, out, _ = run_cli("code", src, "-o", out_path)
     assert rc == 0 and "RESULT: code q=2 T=2" in out
-    # minimize twice per layer, the constructor's one verify, and one span
-    # solve per distinct (rows, target) of a planned edge (63 in all when
-    # each planned edge was solved) plus one per terminal symbol; every edge
-    # a flow uses here is critical from the start, so no detour search runs
-    # (226 when each was searched)
-    assert calls == {"minimize": 4, "verify_code": 1, "in_span": 32, "detour": 0}
+    # minimize twice per layer, the constructor's one verify, one span solve
+    # per distinct row set of the planned edges' tails (17; 26 once per
+    # distinct (rows, target), 63 once per planned edge) plus one per
+    # terminal (3; 6 once per terminal symbol), and one expansion that
+    # realizing and verifying share; every edge a flow uses here is critical
+    # from the start, so no detour search runs (226 when each was searched)
+    assert calls == {
+        "minimize": 4, "verify_code": 1, "in_span": 20, "expand_time": 1, "detour": 0
+    }
 
 
 @pytest.mark.parametrize(
@@ -676,6 +680,60 @@ def test_verify_huge_T_exits_2_before_expanding(fig1, tmp_path, monkeypatch):
     assert time.process_time() - start < 0.5
     assert rc == 2
     assert "covers 1 edges, expanded instance has 16000000" in err
+
+
+def _wide_edge(tmp_path, cap: int) -> str:
+    """One unit session over one edge of capacity ``cap``: route_uniform
+    codes it at T=cap, so n_edges * T = cap * cap."""
+    path = tmp_path / f"wide{cap}.txt"
+    path.write_text(f"session 1 s t\nedge s t cap={cap}\n")
+    return str(path)
+
+
+def _refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} reached past the expansion bound")
+    return refused
+
+
+def test_code_and_verify_on_a_wide_edge(tmp_path):
+    src, out_path = _wide_edge(tmp_path, 40), str(tmp_path / "w.code")
+    rc, out, _ = run_cli("code", src, "-o", out_path)
+    assert (rc, out.splitlines()[-1]) == (0, f"RESULT: code q=2 T=40 written {out_path}")
+    rc, out, _ = run_cli("verify", src, out_path)
+    assert rc == 0 and out.endswith("RESULT: verified\n")
+
+
+@pytest.mark.parametrize("bound", [None, 40 * 40 - 1])
+def test_code_past_the_expansion_bound_exits_2_before_expanding(tmp_path, monkeypatch, bound):
+    # the real bound, and one just below cap=40, which is accepted above
+    if bound is not None:
+        monkeypatch.setattr(graph, "MAX_EXPANDED_EDGES", bound)
+    bound = graph.MAX_EXPANDED_EDGES
+    cap = math.isqrt(bound) + 1
+    assert (cap - 1) ** 2 <= bound < cap * cap
+    monkeypatch.setattr(netcode, "expand_time", _refuse("expand_time"))
+    monkeypatch.setattr(constructors, "edge_disjoint_paths", _refuse("edge_disjoint_paths"))
+    rc, out, err = run_cli("code", _wide_edge(tmp_path, cap), "-o", str(tmp_path / "w.code"))
+    assert (rc, out) == (2, "")
+    assert f"the {cap}-slot expansion has {cap * cap} edges, above the bound of {bound}" in err
+
+
+@pytest.mark.parametrize("bound", [None, 40 * 40 - 1])
+def test_verify_past_the_expansion_bound_exits_2_before_expanding(
+    tmp_path, monkeypatch, bound
+):
+    if bound is not None:
+        monkeypatch.setattr(graph, "MAX_EXPANDED_EDGES", bound)
+    bound = graph.MAX_EXPANDED_EDGES
+    # a rule line for each of n_edges * T expanded edges, one more than the bound
+    cap = bound + 1
+    code_path = tmp_path / "wide.code"
+    code_path.write_text("field q=2\nvector T=1\n" + "".join(f"code {e} :\n" for e in range(cap)))
+    monkeypatch.setattr(netcode, "expand_time", _refuse("expand_time"))
+    rc, out, err = run_cli("verify", _wide_edge(tmp_path, cap), str(code_path))
+    assert (rc, out) == (2, "")
+    assert f"the 1-slot expansion has {cap} edges, above the bound of {bound}" in err
 
 
 def test_verify_nonpositive_T_exits_2(fig1, tmp_path):

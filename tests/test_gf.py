@@ -93,15 +93,15 @@ def test_in_span_reports_coefficients():
     q = 5
     rows = [(1, 0, 2), (0, 1, 3)]
     target = (2, 4, 1)  # 2*row0 + 4*row1 = (2, 4, 4+12 mod 5 = 1)
-    coeffs = in_span(target, rows, q)
+    coeffs, outside = in_span([target, (0, 0, 1)], rows, q)
     assert coeffs is not None
     assert Vectors(q, 3).combine(coeffs, rows) == target
-    assert in_span((0, 0, 1), rows, q) is None
+    assert outside is None
+    assert in_span([], rows, q) == []
 
 
 def test_in_span_zero_target():
-    coeffs = in_span((0, 0), [(1, 1)], 3)
-    assert coeffs == (0,)
+    assert in_span([(0, 0)], [(1, 1)], 3) == [(0,)]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -122,8 +122,8 @@ def test_in_span_matches_brute_force(q, n, m):
 
     for rows in matrices:
         span = {combine(c, rows) for c in itertools.product(range(q), repeat=m)}
-        for target in vectors:
-            got = in_span(target, rows, q)
+        # one elimination answers every target
+        for target, got in zip(vectors, in_span(vectors, rows, q), strict=True):
             if target not in span:
                 assert got is None
             else:
@@ -146,7 +146,7 @@ def test_in_span_roundtrip(q, n, data):
         st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * len(rows))
     )
     target = V.combine(coeffs, rows)
-    got = in_span(target, rows, q)
+    [got] = in_span([target], rows, q)
     assert got is not None
     assert V.combine(got, rows) == target
 
@@ -209,8 +209,38 @@ def test_in_span_matches_the_transposed_elimination(case, data):
         tuple(data.draw(entry) for _ in range(n)),
         (0,) * n,
     ]
-    for target in targets:
-        assert in_span(target, rows, q) == in_span_reference(target, rows, q)
+    assert in_span(targets, rows, q) == [in_span_reference(t, rows, q) for t in targets]
+
+
+@pytest.mark.parametrize("q", PRIMES)
+@pytest.mark.parametrize("shape", ["more rows than columns", "zero rows", "full rank"])
+def test_batched_in_span_matches_the_reference_per_target(q, shape):
+    # the shapes in which a tag table sized by rank can run out of columns:
+    # a row read after the basis is full, one that reduces to nothing, and
+    # every column taken
+    rng = random.Random(f"{q} {shape}")
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        V = Vectors(q, n)
+        if shape == "more rows than columns":
+            rows = [V.combine([rng.randrange(q)], [V.unit(rng.randrange(n))])
+                    for _ in range(n + rng.randint(1, 6))]
+            rows += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        elif shape == "zero rows":
+            rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, n))]
+            for _ in range(rng.randint(1, 3)):
+                rows.insert(rng.randint(0, len(rows)), V.zero)
+        else:
+            rows = [V.unit(k) for k in rng.sample(range(n), n)]
+            rows = [V.add(r, V.combine([rng.randrange(q)], [rows[0]])) if k else r
+                    for k, r in enumerate(rows)]
+            rows += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        targets = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)]
+        targets += [V.unit(k) for k in range(n)] + [V.zero]
+        expected = [in_span_reference(t, rows, q) for t in targets]
+        assert in_span(targets, rows, q) == expected
+        if shape == "full rank":
+            assert None not in expected
 
 
 @settings(max_examples=200, derandomize=True)
@@ -226,4 +256,6 @@ def test_tuple_spans_are_the_reduced_row_echelon_basis(case):
 
 def test_in_span_length_check():
     with pytest.raises(ValueError):
-        in_span((1, 0), [(1, 0), (1,)], 3)
+        in_span([(1, 0)], [(1, 0), (1,)], 3)
+    with pytest.raises(ValueError):
+        in_span([(1, 0), (1,)], [(1, 0)], 3)

@@ -292,6 +292,17 @@ def test_derived_instances_equal_checked_ones(chain):
         _assert_as_checked(inst)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(derivation_chains())
+def test_edges_in_topo_order_is_the_sorted_order(chain):
+    # the definition the out-edge walk replaced: by the tail's position in
+    # topo_order, then by id; kept and attached instances are non-canonical
+    for _, inst in chain:
+        pos = {v: i for i, v in enumerate(inst.topo_order)}
+        by_tail = sorted(range(inst.n_edges), key=lambda e: (pos[inst.edges[e][0]], e))
+        assert inst.edges_in_topo_order() == by_tail
+
+
 def test_derived_sorts_only_when_the_candidate_fails():
     inst = build_instance([("b", "a"), ("a", "c"), ("b", "c")], [("b", "c")])
     b, a, c = 0, 1, 2

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from simulate_oracle import simulate
+from span_oracle import in_span_reference
 
-from netcode_unicast.graph import build_instance
+from netcode_unicast.constructors import route_uniform
+from netcode_unicast.gf import Vectors
+from netcode_unicast.graph import build_instance, parse_instance
 from netcode_unicast.netcode import (
     EMPTY_RULE,
     CodeError,
@@ -291,3 +294,16 @@ def test_verify_monotone_under_extra_in_edge():
     code = NetworkCode(q=2, T=1, rules=rules)
     report = verify_code(wide, code)
     assert report.all_pass
+
+
+def test_wide_terminal_decoders_match_per_symbol_reference():
+    # 1,600 in-edge copies against 40 symbols: one elimination per terminal
+    # must give what a separate solve per symbol gives
+    inst = parse_instance("session 1 s t\nedge s t cap=40\n")
+    code = route_uniform(inst)
+    result = verify_code(inst, code)
+    [report] = result.reports
+    assert report.passed and len(report.in_edges) == 40 * 40
+    rows = [result.vectors[e] for e in report.in_edges]
+    V = Vectors(code.q, 40)
+    assert report.decoders == tuple(in_span_reference(V.unit(k), rows, code.q) for k in range(40))

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from flow_oracle import _bfs_max_flow
 from minimize_oracle import minimize_reference, prune_detour_reference
 from test_flows import path_nodes, random_dag_instance
 
@@ -401,6 +402,38 @@ def test_component_marks_are_the_failed_detours(case):
             if not _augment(inst, rest, present, (u,), (v,)):
                 failed[eid] = 1
     assert _critical_edges(inst, flows) == failed
+
+
+@st.composite
+def dag_with_isolated_nodes(draw):
+    """``random_dag_instance`` with up to two edgeless nodes before its ids
+    and up to two after them."""
+    inst = draw(random_dag_instance(max_nodes=7, max_sessions=3))
+    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    names = (
+        tuple(f"a{k}" for k in range(lead)) + inst.names + tuple(f"z{k}" for k in range(trail))
+    )
+    return UnicastInstance(
+        names,
+        tuple((u + lead, v + lead) for u, v in inst.edges),
+        tuple(Session(s.source + lead, s.terminal + lead, s.rate) for s in inst.sessions),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(dag_with_isolated_nodes())
+def test_critical_edges_are_the_ones_whose_removal_lowers_a_max_flow(inst):
+    def levels(without=None):
+        arcs = [edge for e, edge in enumerate(inst.edges) if e != without]
+        return [
+            _bfs_max_flow(inst.n_nodes, arcs, [1] * len(arcs), s.source, s.terminal)[0]
+            for s in inst.sessions
+        ]
+
+    full = levels()
+    lowers = [int(levels(eid) != full) for eid in range(inst.n_edges)]
+    flows = [_unit_flow(inst, (s.source,), (s.terminal,))[1] for s in inst.sessions]
+    assert _critical_edges(inst, flows) == lowers
 
 
 def test_minimize_long_chain_does_not_recurse():
