@@ -21,6 +21,7 @@ from .gf import _checked_prime
 from .graph import (
     InstanceError,
     UnicastInstance,
+    expand_time,
     load_instance,
     save_instance,
     serialize_instance,
@@ -82,7 +83,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         src, dst = inst.names[s.source], inst.names[s.terminal]
         print(f"session {i + 1}: {src} -> {dst} rate {s.rate} flow {levels[i]}")
     print(f"RESULT: connectivity {_fmt_vec(levels)}")
-    witness = cutset_infeasible(inst, _levels=levels)
+    witness = cutset_infeasible(inst)
     if witness is not None:
         _print_witness(inst, witness)
         return 1
@@ -124,11 +125,10 @@ def cmd_structure(args: argparse.Namespace) -> int:
 def cmd_code(args: argparse.Namespace) -> int:
     _checked_prime(args.q)
     inst = load_instance(args.instance)
-    levels = connectivity_level(inst)
     # each constructor says whether the instance is in its range
     for construct in (route_uniform, assign_1m, assign_133):
         try:
-            code = construct(inst, args.q, _levels=levels)
+            code = construct(inst, args.q)
         except NotApplicable:
             continue
         except CodeError as exc:
@@ -141,12 +141,13 @@ def cmd_code(args: argparse.Namespace) -> int:
         print(f"CODE: {args.output}")
         print(f"RESULT: code q={code.q} T={code.T} written {args.output}")
         return 0
-    witness = cutset_infeasible(inst, _levels=levels)
+    witness = cutset_infeasible(inst)
     if witness is not None:
         print("RESULT: infeasible (violated cut)")
         _print_witness(inst, witness)
         return 1
-    print(f"RESULT: no applicable construction for connectivity {_fmt_vec(levels)}")
+    shown = _fmt_vec(connectivity_level(inst))
+    print(f"RESULT: no applicable construction for connectivity {shown}")
     return 1
 
 
@@ -159,14 +160,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     code, globals_table = load_code(args.code)
     result = verify_code(inst, code)
+    # the expansion the check kept on the instance numbers the symbols
+    offsets = expand_time(inst, code.T).symbol_offsets()
     for report in result.reports:
         if not report.passed:
             print(f"terminal {report.session + 1}: fail")
             continue
-        # the T-expanded instance multiplies every rate, so every offset, by T
-        offset = code.T * inst.symbol_offsets()[report.session]
         parts = [
-            f"x{offset + k} = {_decoder_terms(report.in_edges, d)}"
+            f"x{offsets[report.session] + k} = {_decoder_terms(report.in_edges, d)}"
             for k, d in enumerate(report.decoders)
         ]
         print(f"terminal {report.session + 1}: pass " + "; ".join(parts))
@@ -214,14 +215,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    q = 2 if args.q is None else args.q
-    if args.mode == "routing" and q != 2:
-        raise ValueError(f"a routing search runs over GF(2) only, got --q {q}")
+    if args.mode == "routing" and args.q != 2:
+        raise ValueError(f"a routing search runs over GF(2) only, got --q {args.q}")
     inst = load_instance(args.instance)
     if args.mode == "routing":
         report = brute_force_routing(inst, args.T, budget=args.budget)
     else:
-        report = brute_force_scalar(inst, q, args.T, budget=args.budget)
+        report = brute_force_scalar(inst, args.q, args.T, budget=args.budget)
     code_ref = "none"
     if report.code is not None:
         if args.output:
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive code search")
     p.add_argument("instance")
-    p.add_argument("--q", type=int, help="field size (prime, default 2; routing: 2 only)")
+    p.add_argument("--q", type=int, default=2, help="field size (prime; routing: 2 only)")
     p.add_argument("--T", type=int, default=1, help="vector length")
     p.add_argument("--mode", choices=("linear", "routing"), default="linear")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

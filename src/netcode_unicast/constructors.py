@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .flows import connectivity_level, edge_disjoint_paths
 from .gf import Vector, Vectors
-from .graph import Session, UnicastInstance, _bounded_expansion, attach_endpoints
+from .graph import Session, UnicastInstance, attach_endpoints, expand_time
 from .netcode import CodeError, NetworkCode, code_from_plan, is_routing, verify_code
 from .transform import internal_degree_ok, minimize, overlap_segments, structure
 
@@ -30,7 +30,7 @@ class NotApplicable(CodeError):
     """The instance lies outside the construction's range."""
 
 
-def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> NetworkCode:
+def route_uniform(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     """Vector routing for uniform connectivity [n, ..., n].
 
     Session alpha owns time layer alpha and routes its n expanded symbols
@@ -39,7 +39,7 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
     :class:`~netcode_unicast.graph.InstanceError` an n-slot expansion above
     ``graph.MAX_EXPANDED_EDGES`` edges before planning.
     """
-    levels = _levels or connectivity_level(instance)
+    levels = connectivity_level(instance)
     n = levels[0]
     if any(v != n for v in levels):
         raise NotApplicable(f"uniform connectivity required, found {list(levels)}")
@@ -47,16 +47,15 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
         raise NotApplicable("unit session rates required")
     if len(levels) > n:
         raise NotApplicable(f"{len(levels)} sessions cannot each own one of {n} time layers")
-    _bounded_expansion(instance, n)
-    # the n-slot expansion multiplies every rate, and so every offset, by n
-    V = Vectors(q, n * instance.n_symbols)
+    expanded = expand_time(instance, n)
+    V = Vectors(q, expanded.n_symbols)
+    offsets = expanded.symbol_offsets()
     plan: dict[int, Vector] = {}
     for alpha in range(len(levels)):
-        offset = n * instance.symbol_offsets()[alpha]
         for j, path in enumerate(edge_disjoint_paths(instance, alpha, n)):
             for eid in path:
                 # layer-alpha copy of a base edge carries symbol j untouched
-                plan[eid * n + alpha] = V.unit(offset + j)
+                plan[eid * n + alpha] = V.unit(offsets[alpha] + j)
     code = code_from_plan(instance, q, n, plan)
     result = verify_code(instance, code)
     if not is_routing(result.vectors):
@@ -66,7 +65,7 @@ def route_uniform(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Net
     return code
 
 
-def assign_1m(instance: UnicastInstance, q: int = 2, *, _levels=None) -> NetworkCode:
+def assign_1m(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     """Scalar code for two sessions with rates {1, m}, connectivity [1, m+1].
 
     On a minimal structured instance the single path P1 of the rate-1
@@ -86,7 +85,7 @@ def assign_1m(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Network
     if instance.sessions[0].rate != 1:
         raise NotApplicable("the first session must have rate 1")
     m = instance.sessions[1].rate
-    levels = _levels or connectivity_level(instance)
+    levels = connectivity_level(instance)
     if levels != (1, m + 1):
         raise NotApplicable(f"connectivity {list(levels)} does not match [1, {m + 1}]")
     if not internal_degree_ok(instance):
@@ -168,7 +167,7 @@ def _plan_1m(instance: UnicastInstance, q: int) -> dict[int, Vector]:
     return plan
 
 
-def assign_133(instance: UnicastInstance, q: int = 2, *, _levels=None) -> NetworkCode:
+def assign_133(instance: UnicastInstance, q: int = 2) -> NetworkCode:
     """T=2 code for three unit-rate sessions, sorted connectivity >= [1,3,3].
 
     The session with the smallest max-flow splits its two expanded symbols
@@ -184,7 +183,7 @@ def assign_133(instance: UnicastInstance, q: int = 2, *, _levels=None) -> Networ
         raise NotApplicable("exactly three sessions required")
     if any(s.rate != 1 for s in instance.sessions):
         raise NotApplicable("unit session rates required")
-    levels = _levels or connectivity_level(instance)
+    levels = connectivity_level(instance)
     order = sorted(range(3), key=lambda i: (levels[i], i))
     ranked = tuple(levels[i] for i in order)
     if ranked[0] < 1 or ranked[1] < 3 or ranked[2] < 3:

@@ -186,7 +186,11 @@ def max_flow(instance: UnicastInstance, session: int) -> int:
 
 
 def connectivity_level(instance: UnicastInstance) -> ConnectivityVector:
-    return tuple(max_flow(instance, i) for i in range(len(instance.sessions)))
+    """Every session's max-flow, kept on the instance by the first call."""
+    if instance._connectivity is None:
+        levels = tuple(max_flow(instance, i) for i in range(len(instance.sessions)))
+        object.__setattr__(instance, "_connectivity", levels)
+    return instance._connectivity
 
 
 def edge_disjoint_paths(
@@ -240,9 +244,7 @@ def _session_subsets(n: int):
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 
-def cutset_infeasible(
-    instance: UnicastInstance, *, _levels: ConnectivityVector | None = None
-) -> CutWitness | None:
+def cutset_infeasible(instance: UnicastInstance) -> CutWitness | None:
     """First cut-set bound violation in deterministic enumeration order.
 
     Session subsets are taken in binary-counter order (session 0 = low bit);
@@ -253,20 +255,19 @@ def cutset_infeasible(
     significant bit, so from the highest down each node goes outside S
     whenever some violating set with it outside remains.  One flow, stopped
     at the subset's rate, answers each such question, so the witness costs
-    at most one per free node on top of one per session subset.
-
-    A caller holding the connectivity vector passes it as ``_levels``; a
-    one-session subset whose max-flow meets its rate then needs no flow.
-    The witness passes :meth:`CutWitness.validate` before it is returned, so
-    no unchecked cut is ever reported.
+    at most one per free node on top of one per session subset, less the
+    one-session subsets whose max-flow, read off the connectivity vector,
+    meets their rate.  The witness passes :meth:`CutWitness.validate`
+    before it is returned, so no unchecked cut is ever reported.
     """
+    levels = connectivity_level(instance)
     for subset in _session_subsets(len(instance.sessions)):
         inside = {instance.sessions[i].source for i in subset}
         outside = {instance.sessions[i].terminal for i in subset}
         if inside & outside:
             continue
         required = sum(instance.sessions[i].rate for i in subset)
-        if _levels is not None and len(subset) == 1 and _levels[subset[0]] >= required:
+        if len(subset) == 1 and levels[subset[0]] >= required:
             continue
         if _min_cut(instance, inside, outside, required) >= required:
             continue

@@ -74,17 +74,20 @@ class UnicastInstance:
     _expansion: tuple[int, UnicastInstance] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # the connectivity vector, kept by ``flows.connectivity_level``
+    _connectivity: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._check()
-        # the sort proves acyclicity here, so its result is stored at once
-        # rather than through the cached_property's first read
-        order = self._toposort()
-        for attr, value in (("_order", order), ("_canonical", True), ("topo_order", order)):
-            object.__setattr__(self, attr, value)
 
-    def _check(self) -> None:
-        """Every structural check but acyclicity; fills the adjacency."""
+    def _check(self, order: Sequence[int] | None = None, canonical: bool = False) -> None:
+        """Every structural check; fills the adjacency and proves the graph
+        acyclic.  A derived instance passes ``order``, a candidate topological
+        order taken from its source, and ``canonical`` when it is also the
+        smallest one; without a candidate, or when it fails, the sort proves
+        acyclicity (or names a cycle) and gives ``topo_order`` at once."""
         names, n = self.names, len(self.names)
         if len(set(names)) != n:
             raise InstanceError("duplicate node names")
@@ -108,6 +111,21 @@ class UnicastInstance:
                 raise InstanceError("session references unknown node")
         object.__setattr__(self, "out_edges", tuple(map(tuple, out)))
         object.__setattr__(self, "in_edges", tuple(map(tuple, inc)))
+        # a permutation of the nodes with every tail before its head proves
+        # the graph acyclic
+        proved = order is not None and sorted(order) == list(range(n))
+        if proved:
+            pos = [0] * n
+            for i, v in enumerate(order):
+                pos[v] = i
+            proved = all(pos[u] < pos[v] for u, v in self.edges)
+        if not proved:
+            order, canonical = self._toposort(), True
+        order = tuple(order)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_canonical", canonical)
+        if canonical:
+            object.__setattr__(self, "topo_order", order)
 
     @classmethod
     def _derived(
@@ -118,33 +136,13 @@ class UnicastInstance:
         order: Sequence[int],
         canonical: bool = False,
     ) -> UnicastInstance:
-        """An instance built from another, with every check of the
-        constructor, but acyclicity proved by ``order`` rather than by a sort.
-
-        ``order`` is a candidate topological order the caller derives from
-        its source instance; ``canonical`` says it is also the smallest one
-        (the same node pairs as the source, whose ``topo_order`` it is).  A
-        candidate that fails falls back to the sort, which names a cycle.
-        """
+        """An instance built from another, checked as the constructor checks
+        one, but proved acyclic by the candidate ``order`` (see
+        :meth:`_check`) rather than by a sort."""
         inst = object.__new__(cls)
         for attr, value in (("names", names), ("edges", edges), ("sessions", sessions)):
             object.__setattr__(inst, attr, value)
-        inst._check()
-        # a permutation of the nodes with every tail before its head proves
-        # the graph acyclic
-        proved = sorted(order) == list(range(len(names)))
-        if proved:
-            pos = [0] * len(names)
-            for i, v in enumerate(order):
-                pos[v] = i
-            proved = all(pos[u] < pos[v] for u, v in edges)
-        if not proved:
-            order, canonical = inst._toposort(), True
-        order = tuple(order)
-        object.__setattr__(inst, "_order", order)
-        object.__setattr__(inst, "_canonical", canonical)
-        if canonical:
-            object.__setattr__(inst, "topo_order", order)
+        inst._check(order, canonical)
         return inst
 
     def _toposort(self) -> tuple[int, ...]:
@@ -282,10 +280,11 @@ def build_instance(
 # cap=c becomes c parallel edges and rate=r becomes r symbols per time step,
 # so a larger value is refused before anything is allocated for it
 MAX_COUNT = 2**16
-# n_edges * T, the edges of a T-slot expansion, which ``code`` (in
-# route_uniform) and ``verify`` (in NetworkCode.validate) refuse to exceed;
-# the slowest accepted ``code`` measured, 34 unit sessions each over one
-# edge of capacity 34, takes about 1.9 s of CPU on a 2-core Xeon
+# the largest instance the package derives from a file: the edges of a T-slot
+# expansion (n_edges * T), which ``expand_time`` refuses to exceed, and the
+# crossbar cells of ``transform.structure``; the slowest accepted ``code``
+# measured, 34 unit sessions each over one edge of capacity 34, takes about
+# 1.9 s of CPU on a 2-core Xeon
 MAX_EXPANDED_EDGES = 200 * 200
 
 
@@ -457,12 +456,21 @@ def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
     Every edge becomes T parallel copies (copy tau of edge e gets id
     ``e * T + tau``); session rates multiply by T; nodes are unchanged.
     The expansion is kept on ``instance``, as ``topo_order`` is, so the code
-    layer expands each instance once to build a code and check it.
+    layer expands each instance once to build a code and check it.  One of
+    more than ``MAX_EXPANDED_EDGES`` edges is refused before anything is
+    built.
     """
     if T < 1:
         raise InstanceError(f"T must be >= 1, got {T}")
+    if instance.n_edges * T > MAX_EXPANDED_EDGES:
+        raise InstanceError(
+            f"the {T}-slot expansion has {instance.n_edges * T} edges,"
+            f" above the bound of {MAX_EXPANDED_EDGES}"
+        )
     if T == 1:
         return instance  # the same edges and rates
+    if instance._expansion is not None and instance._expansion[0] == T:
+        return instance._expansion[1]
     edges = tuple(edge for edge in instance.edges for _ in range(T))
     sessions = tuple(Session(s.source, s.terminal, s.rate * T) for s in instance.sessions)
     # parallel copies join the same node pairs, so both orders carry over
@@ -471,13 +479,3 @@ def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
     )
     object.__setattr__(instance, "_expansion", (T, expanded))
     return expanded
-
-
-def _bounded_expansion(instance: UnicastInstance, T: int) -> None:
-    """Refuse, before anything is built, a T-slot expansion of more than
-    ``MAX_EXPANDED_EDGES`` edges."""
-    if instance.n_edges * T > MAX_EXPANDED_EDGES:
-        raise InstanceError(
-            f"the {T}-slot expansion has {instance.n_edges * T} edges,"
-            f" above the bound of {MAX_EXPANDED_EDGES}"
-        )

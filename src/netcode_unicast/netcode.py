@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Vector, Vectors, _checked_prime, in_span
-from .graph import UnicastInstance, _bounded_expansion, expand_time
+from .graph import UnicastInstance, expand_time
 
 
 class CodeError(ValueError):
@@ -66,8 +66,7 @@ class NetworkCode:
                 f"code covers {len(self.rules)} edges, expanded instance has "
                 f"{instance.n_edges * self.T}"
             )
-        _bounded_expansion(instance, self.T)
-        expanded = _expanded(instance, self.T)
+        expanded = expand_time(instance, self.T)
         _checked_prime(self.q)
         # a key is available at a tail when the tail is the head of that
         # in-edge, or the source of that symbol's session
@@ -94,18 +93,6 @@ class NetworkCode:
                             f"edge {eid}: coefficient {coeff} outside GF({self.q})"
                         )
         return expanded
-
-
-def _expanded(instance: UnicastInstance, T: int) -> UnicastInstance:
-    """``instance`` over T slots, expanded only if it has no such expansion
-    yet: at T = 1 it is its own, and :func:`expand_time` keeps the last one
-    it builds on the instance."""
-    if T == 1:
-        return instance
-    kept = instance._expansion
-    if kept is not None and kept[0] == T:
-        return kept[1]
-    return expand_time(instance, T)
 
 
 def propagate(instance: UnicastInstance, code: NetworkCode) -> tuple[Vector, ...]:
@@ -200,7 +187,7 @@ def code_from_plan(
     rows for all the targets asked of it; unrealizable targets, and targets
     on edges the expanded instance lacks, raise.
     """
-    expanded = _expanded(instance, T)
+    expanded = expand_time(instance, T)
     if any(not 0 <= eid < expanded.n_edges for eid in plan):
         raise CodeError("plan vector on an edge outside the expanded instance")
     V = Vectors(q, expanded.n_symbols)

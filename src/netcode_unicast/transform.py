@@ -13,7 +13,7 @@ instance lift back to the original graph.
 from __future__ import annotations
 
 from .flows import _augment, _residual_components, _unit_flow
-from .graph import UnicastInstance, _fresh_name
+from .graph import MAX_EXPANDED_EDGES, InstanceError, UnicastInstance, _fresh_name
 from .netcode import CodeError, NetworkCode, code_from_plan, verify_code
 
 
@@ -89,14 +89,23 @@ def structure(instance: UnicastInstance) -> UnicastInstance:
     :func:`_wide_nodes` of the input, and each keeps its name and no edge.
 
     Original edges keep their ids; every id at or above the input's edge
-    count is a crossbar edge.
+    count is a crossbar edge.  More than ``graph.MAX_EXPANDED_EDGES``
+    crossbar cells in all are refused before anything is built.
     """
+    wide = _wide_nodes(instance)
+    n_cells = sum(
+        max(len(instance.in_edges[v]), 1) * max(len(instance.out_edges[v]), 1) for v in wide
+    )
+    if n_cells > MAX_EXPANDED_EDGES:
+        raise InstanceError(
+            f"structuring needs {n_cells} crossbar cells, above the bound of {MAX_EXPANDED_EDGES}"
+        )
     names = list(instance.names)
     taken = set(names)
     edges: list[tuple[int, int]] = list(instance.edges)
     cells: dict[int, range] = {}  # the crossbar nodes of each replaced node
 
-    for v in _wide_nodes(instance):
+    for v in wide:
         ins, outs = instance.in_edges[v], instance.out_edges[v]
         p, r = len(ins), len(outs)
         base = instance.names[v]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import math
 import re
@@ -34,6 +35,7 @@ from netcode_unicast import (
 from netcode_unicast import constructors, flows, graph, netcode, oracle, transform
 from netcode_unicast.cli import main
 from netcode_unicast.netcode import TerminalReport
+from test_graph import record_expansions
 from test_netcode import BUTTERFLY, BUTTERFLY_CODE, with_global_lines
 
 
@@ -334,6 +336,38 @@ def test_structure_reduces_wide_hub(tmp_path):
     )
 
 
+def _hub(tmp_path, cap: int) -> str:
+    """One unit session through a hub with ``cap`` in- and out-edges: its
+    crossbar has cap * cap cells."""
+    path = tmp_path / f"hub{cap}.txt"
+    path.write_text(f"session 1 s t\nedge s h cap={cap}\nedge h t cap={cap}\n")
+    return str(path)
+
+
+def test_structure_at_the_cell_bound(tmp_path):
+    out_path = tmp_path / "h.txt"
+    rc, out, _ = run_cli("structure", _hub(tmp_path, 200), "-o", str(out_path))
+    assert (rc, out) == (0, "RESULT: gadgets 1\n")
+    text = out_path.read_text()
+    # the 400 hub edges, then a merge -> fork edge per cell and the row and
+    # column links between cells
+    assert text.count("\nedge ") == 400 + 200 * 200 + 2 * 200 * 199
+    # digests pinned from structure with no cell bound: at the bound it changes nothing
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in (out_path, tmp_path / "h.txt.map")]
+    assert digests == ["fb8aab703b68c385", "73053e647880f784"]
+
+
+def test_structure_past_the_cell_bound_exits_2_before_building(tmp_path, monkeypatch):
+    monkeypatch.setattr(transform, "_fresh_name", _refuse("_fresh_name"))
+    monkeypatch.setattr(graph.UnicastInstance, "_derived", _refuse("_derived"))
+    out_path = tmp_path / "h.txt"
+    rc, out, err = run_cli("structure", _hub(tmp_path, 201), "-o", str(out_path))
+    assert (rc, out) == (2, "")
+    assert "structuring needs 40401 crossbar cells, above the bound of 40000" in err
+    assert not out_path.exists()
+
+
 def _build(edges, pairs):
     from netcode_unicast import build_instance
 
@@ -381,7 +415,7 @@ def test_code_triple_splits_lowest_session(tmp_path):
 def test_code_checks_each_fact_once(tmp_path, monkeypatch):
     src, out_path = str(tmp_path / "t.txt"), str(tmp_path / "t.code")
     save_instance(sample_triple(3, (1, 3, 3)), src)
-    calls = dict.fromkeys(("minimize", "verify_code", "in_span", "expand_time"), 0)
+    calls = dict.fromkeys(("minimize", "verify_code", "in_span"), 0)
 
     def counting(name, real):
         def counted(*args, **kwargs):
@@ -397,17 +431,18 @@ def test_code_checks_each_fact_once(tmp_path, monkeypatch):
     # the detour searches of minimize, apart from the augmentations of max-flow
     calls["detour"] = 0
     monkeypatch.setattr(transform, "_augment", counting("detour", transform._augment))
+    expansions = record_expansions(monkeypatch)
     rc, out, _ = run_cli("code", src, "-o", out_path)
     assert rc == 0 and "RESULT: code q=2 T=2" in out
     # minimize twice per layer, the constructor's one verify, one span solve
     # per distinct row set of the planned edges' tails (17; 26 once per
     # distinct (rows, target), 63 once per planned edge) plus one per
-    # terminal (3; 6 once per terminal symbol), and one expansion that
-    # realizing and verifying share; every edge a flow uses here is critical
-    # from the start, so no detour search runs (226 when each was searched)
-    assert calls == {
-        "minimize": 4, "verify_code": 1, "in_span": 20, "expand_time": 1, "detour": 0
-    }
+    # terminal (3; 6 once per terminal symbol); every edge a flow uses here
+    # is critical from the start, so no detour search runs (226 when each
+    # was searched)
+    assert calls == {"minimize": 4, "verify_code": 1, "in_span": 20, "detour": 0}
+    # one expansion, which realizing and verifying share
+    assert len(expansions) == 1
 
 
 @pytest.mark.parametrize(
@@ -630,17 +665,11 @@ def test_verify_expands_the_instance_once(tmp_path, monkeypatch):
     src, code_path = str(tmp_path / "t.txt"), tmp_path / "t.code"
     save_instance(inst, src)
     code_path.write_text(with_global_lines(code, propagate(inst, code)))
-    calls = []
-    real = netcode.expand_time
-
-    def counted(instance, T):
-        calls.append(T)
-        return real(instance, T)
-
-    monkeypatch.setattr(netcode, "expand_time", counted)
+    expansions = record_expansions(monkeypatch)
     rc, out, _ = run_cli("verify", src, str(code_path))
     assert rc == 0 and out.endswith("RESULT: verified\n")
-    assert calls == [2]
+    # the check and the symbol numbering share one T=2 expansion
+    assert [x.n_edges for x in expansions] == [2 * inst.n_edges]
     # each session owns two expanded symbols, numbered in session order
     terminals = out.splitlines()[:3]
     assert [re.findall(r"x(\d+) =", line) for line in terminals] == [
@@ -692,7 +721,7 @@ def _wide_edge(tmp_path, cap: int) -> str:
 
 def _refuse(what):
     def refused(*args, **kwargs):
-        raise AssertionError(f"{what} reached past the expansion bound")
+        raise AssertionError(f"{what} reached past the bound")
     return refused
 
 
@@ -712,7 +741,8 @@ def test_code_past_the_expansion_bound_exits_2_before_expanding(tmp_path, monkey
     bound = graph.MAX_EXPANDED_EDGES
     cap = math.isqrt(bound) + 1
     assert (cap - 1) ** 2 <= bound < cap * cap
-    monkeypatch.setattr(netcode, "expand_time", _refuse("expand_time"))
+    # nothing is derived, the expansion included, and nothing is planned
+    monkeypatch.setattr(graph.UnicastInstance, "_derived", _refuse("_derived"))
     monkeypatch.setattr(constructors, "edge_disjoint_paths", _refuse("edge_disjoint_paths"))
     rc, out, err = run_cli("code", _wide_edge(tmp_path, cap), "-o", str(tmp_path / "w.code"))
     assert (rc, out) == (2, "")
@@ -730,7 +760,8 @@ def test_verify_past_the_expansion_bound_exits_2_before_expanding(
     cap = bound + 1
     code_path = tmp_path / "wide.code"
     code_path.write_text("field q=2\nvector T=1\n" + "".join(f"code {e} :\n" for e in range(cap)))
-    monkeypatch.setattr(netcode, "expand_time", _refuse("expand_time"))
+    # nothing is derived, the expansion included
+    monkeypatch.setattr(graph.UnicastInstance, "_derived", _refuse("_derived"))
     rc, out, err = run_cli("verify", _wide_edge(tmp_path, cap), str(code_path))
     assert (rc, out) == (2, "")
     assert f"the 1-slot expansion has {cap} edges, above the bound of {bound}" in err

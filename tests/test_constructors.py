@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from minimize_oracle import minimize_reference
+from test_graph import record_expansions
 
-from netcode_unicast import constructors, netcode, transform
+from netcode_unicast import constructors, flows, transform
 from netcode_unicast.constructors import NotApplicable, assign_1m, assign_133, route_uniform
-from netcode_unicast.flows import connectivity_level, edge_disjoint_paths
+from netcode_unicast.flows import connectivity_level, cutset_infeasible, edge_disjoint_paths
 from netcode_unicast.graph import Session, build_instance
 from netcode_unicast.netcode import (
     CodeError,
@@ -559,7 +560,7 @@ def test_assign_133_runs_one_separate_max_flow(monkeypatch):
 
 def test_assign_133_realizes_and_verifies_once(monkeypatch):
     inst = sample_triple(3, (1, 3, 3))
-    calls = {"code_from_plan": 0, "verify_code": 0, "expand_time": 0}
+    calls = {"code_from_plan": 0, "verify_code": 0}
 
     def counting(name, real):
         def counted(*args, **kwargs):
@@ -573,13 +574,27 @@ def test_assign_133_realizes_and_verifies_once(monkeypatch):
         (transform, "code_from_plan"),
         (constructors, "verify_code"),
         (transform, "verify_code"),
-        (netcode, "expand_time"),
     ):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    expansions = record_expansions(monkeypatch)
     code = assign_133(inst)
+    assert calls == {"code_from_plan": 1, "verify_code": 1}
     # the verify reads the expansion the realization kept on the instance
-    assert calls == {"code_from_plan": 1, "verify_code": 1, "expand_time": 1}
+    assert len(expansions) == 1
     assert verify_code(inst, code).all_pass
+
+
+def test_constructors_and_the_cut_check_share_one_max_flow_per_session(monkeypatch):
+    inst = sample_triple(3, (1, 3, 3))
+    sessions = []
+    real = flows.max_flow
+    monkeypatch.setattr(flows, "max_flow", lambda x, k: sessions.append(k) or real(x, k))
+    with pytest.raises(NotApplicable):
+        route_uniform(inst)
+    assign_133(inst)
+    assert cutset_infeasible(inst) is None
+    # the connectivity vector is kept on the instance from the first call
+    assert sessions == [0, 1, 2]
 
 
 # ------------------------------------------------------------------ samplers

@@ -237,9 +237,10 @@ def test_deep_first_witness_costs_one_max_flow_per_node(monkeypatch):
 
 
 def test_clean_subsets_stop_at_their_rate(monkeypatch):
-    # no cut is violated, so each session subset's question ends after
-    # exactly its rate in augmentations, none failing: s1 has 3 paths for
-    # rate 2 and s2 has 2 for rate 1, which a full max-flow would exhaust
+    # no cut is violated, and the levels meet both rates (s1 has 3 paths for
+    # rate 2, s2 has 2 for rate 1), so only the pair asks a question; it ends
+    # after exactly its rate in augmentations, none failing, where a full
+    # max-flow would run on and end in a failing one
     inst = build_instance(
         [("s1", "a"), ("s1", "a"), ("s1", "t1"), ("a", "t1"), ("a", "t1"),
          ("s2", "b"), ("s2", "t2"), ("b", "t2"), ("a", "b")],
@@ -255,8 +256,8 @@ def test_clean_subsets_stop_at_their_rate(monkeypatch):
 
     monkeypatch.setattr(flows, "_augment", counted)
     assert cutset_infeasible(inst) is None
-    # subsets {1}, {2} and {1, 2} need rates 2, 1 and 3
-    assert outcomes == [True] * (2 + 1 + 3)
+    # subset {1, 2} needs rate 3
+    assert outcomes == [True] * 3
 
 
 # -- randomized agreement with independent oracles --------------------------
@@ -333,17 +334,24 @@ def test_cut_enumeration_agreement(inst):
 def test_known_levels_skip_only_the_met_single_sessions(inst):
     levels = connectivity_level(inst)
     with mock.patch.object(flows, "_min_cut", wraps=flows._min_cut) as cut:
-        plain = cutset_infeasible(inst)
-        asked = cut.call_count
-        cut.reset_mock()
-        known = cutset_infeasible(inst, _levels=levels)
-    assert known == plain == cutset_infeasible_exhaustive(inst)
-    met = sum(level >= s.rate for level, s in zip(levels, inst.sessions))
-    if plain is None:
-        # every subset was reached, and each met session lost its flow
-        assert cut.call_count == asked - met
-    else:
-        assert asked - met <= cut.call_count <= asked
+        found = cutset_infeasible(inst)
+    assert found == cutset_infeasible_exhaustive(inst)
+    # the subsets reached in binary-counter order, up to the witness's
+    n = len(inst.sessions)
+    asked = 0
+    for mask in range(1, 1 << n):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        sources = {inst.sessions[i].source for i in subset}
+        terminals = {inst.sessions[i].terminal for i in subset}
+        if sources & terminals:
+            continue
+        met = len(subset) == 1 and levels[subset[0]] >= inst.sessions[subset[0]].rate
+        asked += not met
+        if found is not None and subset == found.sessions:
+            # then one question per free node picks the witness's node set
+            asked += inst.n_nodes - len(sources | terminals)
+            break
+    assert cut.call_count == asked
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

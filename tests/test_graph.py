@@ -1,12 +1,16 @@
 """Instance model, file round-trips, endpoint attachment, time expansion."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_flows import random_dag_instance
 
+from netcode_unicast import graph
 from netcode_unicast.flows import connectivity_level
 from netcode_unicast.graph import (
+    MAX_EXPANDED_EDGES,
     InstanceError,
     Session,
     UnicastInstance,
@@ -205,6 +209,52 @@ def test_expand_time_ids_and_lineage():
 def test_expand_time_at_one_slot_is_the_instance():
     inst = build_instance([("s", "a"), ("a", "t")], [("s", "t", 2)])
     assert expand_time(inst, 1) is inst
+
+
+def record_expansions(monkeypatch) -> list:
+    """Patch every binding of ``expand_time`` to record what it returns.  A
+    kept expansion returned again, or a one-slot instance returned as its
+    own expansion, is not recorded, so the list holds the expansions built."""
+    built: list = []
+    real = graph.expand_time
+
+    def recorded(instance, T):
+        expanded = real(instance, T)
+        if expanded is not instance and all(x is not expanded for x in built):
+            built.append(expanded)
+        return expanded
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("netcode_unicast.")]:
+        if getattr(module, "expand_time", None) is real:
+            monkeypatch.setattr(module, "expand_time", recorded)
+    return built
+
+
+def test_expand_time_keeps_its_expansion():
+    inst = build_instance([("s", "a"), ("a", "t")], [("s", "t", 2)])
+    ex = expand_time(inst, 2)
+    assert expand_time(inst, 2) is ex
+    # another T builds another expansion, which is then the one kept
+    assert expand_time(inst, 3) is not ex
+    assert expand_time(inst, 3) is expand_time(inst, 3)
+
+
+def test_expand_time_refuses_past_the_bound_before_building(monkeypatch):
+    at_bound = build_instance([("s", "t")] * 200, [("s", "t")])
+    assert expand_time(at_bound, 200).n_edges == MAX_EXPANDED_EDGES
+
+    def refused(*args):
+        raise AssertionError("an instance was derived past the expansion bound")
+
+    monkeypatch.setattr(UnicastInstance, "_derived", refused)
+    inst = build_instance([("s", "t")] * 201, [("s", "t")])
+    with pytest.raises(InstanceError, match="the 200-slot expansion has 40200 edges, above"):
+        expand_time(inst, 200)
+    assert inst._expansion is None
+    # one slot builds nothing, but its edges count against the bound too
+    wide = build_instance([("s", "t")] * (MAX_EXPANDED_EDGES + 1), [("s", "t")])
+    with pytest.raises(InstanceError, match="the 1-slot expansion has 40001 edges, above"):
+        expand_time(wide, 1)
 
 
 def test_instance_structural_validation():
