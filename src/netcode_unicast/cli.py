@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import compress
 from typing import Sequence
 
 from .constructors import NotApplicable, assign_1m, assign_133, route_uniform
@@ -152,7 +153,8 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def _decoder_terms(report_edges: tuple[int, ...], vec: Sequence[int]) -> str:
-    terms = [f"{c}*e{e}" for e, c in zip(report_edges, vec) if c]
+    # compress drops the zero coefficients, most of a wide terminal's, in C
+    terms = [f"{c}*e{e}" for e, c in zip(compress(report_edges, vec), compress(vec, vec))]
     return " + ".join(terms) if terms else "0"
 
 

@@ -26,9 +26,14 @@ Cost per block.  A node whose edge combines n generators (in-edge vectors
 and injected unit symbols) walks its q**n blocks with the last coefficient
 running fastest, so a block adds one copy of the last generator to the
 vector before it: one addition per block, plus n - 1 more for each of the
-q**(n-1) blocks that end in 0.  A lookup in the join row of the head's span
-gives the new span id, or -1 at a terminal's last in-edge where the span
-misses a wanted unit; an ``itemgetter`` and a set probe test the next key.
+q**(n-1) blocks that end in 0.  The same generator tuple recurs at many
+node entries (a cor232 search at q=2 enters 726 nodes over 34 tuples), so
+each tuple's walk of (block, vector) pairs is built once per search and
+replayed after that: in routing always, in linear mode while q**n is at
+most ``TABLE_VECTORS``; a longer walk is built lazily at each entry.  A
+lookup in the join row of the head's span gives the new span id, or -1 at
+a terminal's last in-edge where the span misses a wanted unit; an
+``itemgetter`` and a set probe test the next key.
 
 Arithmetic.  Vectors over GF(q) have L = T * (total rate) coordinates.  At
 q = 2 they are bitmasks and adding is XOR.  For q >= 3, while the q**L
@@ -81,7 +86,9 @@ MAX_SEARCH_EDGES = 1024
 # about the same below 60 blocks, where the build outweighs the search, and
 # 0.1-1.0x at 343 and 729 vectors.  Up to 256 every entry is a cached small
 # int (243 vectors: 2.4 ms, 0.54 MiB); above it each is its own int (1.9 MiB
-# at 343 vectors, 15 MiB at 729)
+# at 343 vectors, 15 MiB at 729).  The same bound caps the walks a search
+# keeps: a linear walk of q**n blocks is kept for replay only while q**n is
+# at most this
 TABLE_VECTORS = 256
 
 
@@ -617,8 +624,21 @@ def _search(
     in_ids_at = [expanded.in_edges[u] for u in tails]
     src_ids_at = [observed[u] for u in tails]
     units_at = [units_of.get(u, []) for u in tails]
-    # routing blocks per generator count, built on first use
+    # each generator tuple's walk, built on first use and replayed (see "Cost
+    # per block"); a linear walk past TABLE_VECTORS stays lazy, so a budget
+    # cut at a wide node stops in bounded time and memory
     routes = _Lazy(_routing_blocks)
+
+    def walk(gens: tuple) -> list:
+        if routing:
+            blocks, pick = routes[len(gens)]
+            return list(zip(blocks, pick([arith.zero, *gens])))
+        return list(_linear_blocks(arith, gens))
+
+    walk_of = _Lazy(walk)
+    # q >= 2, so q**9 already exceeds TABLE_VECTORS
+    cached_at = [routing or q ** min(len(ids) + len(us), 9) <= TABLE_VECTORS
+                 for ids, us in zip(in_ids_at, units_at)]
 
     vecs = [arith.zero] * M
     # sids[i]: the span id of heads[i]'s in-edges up to i; sids[M] stays 0
@@ -638,12 +658,8 @@ def _search(
             # enter the node at depth i + 1, whose memo key is not yet failed
             i += 1
             keys[i] = key
-            gens = [vecs[e] for e in in_ids_at[i]] + units_at[i]
-            if routing:
-                blocks, pick = routes[len(gens)]
-                walks[i] = zip(blocks, pick([arith.zero, *gens]))
-            else:
-                walks[i] = _linear_blocks(arith, gens)
+            gens = (*[vecs[e] for e in in_ids_at[i]], *units_at[i])
+            walks[i] = iter(walk_of[gens]) if cached_at[i] else _linear_blocks(arith, gens)
             visit_rows[i] = joins_at[i][sids[prev_in[i]]]
         x = order[i]
         row = visit_rows[i]

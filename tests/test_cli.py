@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import random
 import re
 import sys
 import time
@@ -32,7 +33,7 @@ from netcode_unicast import (
     serialize_code,
     verify_code,
 )
-from netcode_unicast import constructors, flows, graph, netcode, oracle, transform
+from netcode_unicast import cli, constructors, flows, graph, netcode, oracle, transform
 from netcode_unicast.cli import main
 from netcode_unicast.netcode import TerminalReport
 from test_graph import record_expansions
@@ -584,6 +585,27 @@ def test_verify_roundtrip_and_decoders(tmp_path):
     assert lines[-1] == "RESULT: verified"
     assert lines[0].startswith("terminal 1: pass x0 = ")
     assert all("*e" in l for l in lines[:-1])
+
+
+def _scanned_decoder_terms(report_edges, vec):
+    # the plain scan of every in-edge coefficient that cli._decoder_terms replaces
+    terms = [f"{c}*e{e}" for e, c in zip(report_edges, vec) if c]
+    return " + ".join(terms) if terms else "0"
+
+
+def test_decoder_terms_match_the_plain_scan():
+    # one edge of capacity 40: 40 decoders over 1,600 in-edge copies each
+    inst = graph.parse_instance("session 1 s t\nedge s t cap=40\n")
+    (report,) = verify_code(inst, constructors.route_uniform(inst)).reports
+    assert len(report.decoders) == 40 and len(report.in_edges) == 1_600
+    for vec in report.decoders:
+        assert cli._decoder_terms(report.in_edges, vec) == _scanned_decoder_terms(report.in_edges, vec)
+    rng = random.Random(5)
+    for n in (0, 1, 2, 7, 50):
+        edges = tuple(rng.sample(range(10_000), n))
+        for density in (0.0, 0.2, 1.0):
+            vec = [rng.randrange(1, 7) if rng.random() < density else 0 for _ in range(n)]
+            assert cli._decoder_terms(edges, vec) == _scanned_decoder_terms(edges, vec)
 
 
 def test_verify_detects_broken_code(tmp_path):

@@ -9,7 +9,7 @@ from search_oracle import _search as reference_search
 
 from netcode_unicast.flows import connectivity_level, cutset_infeasible
 from netcode_unicast.gf import Vectors
-from netcode_unicast.graph import build_instance
+from netcode_unicast.graph import build_instance, parse_instance
 from netcode_unicast.netcode import (
     LocalRule,
     NetworkCode,
@@ -552,6 +552,72 @@ def test_routing_blocks_are_built_once_per_generator_count(monkeypatch):
     calls.clear()
     brute_force_routing(gen_fig1(), 1)
     assert sorted(calls) == sorted(set(calls))
+
+
+# v's out-edge combines nine in-edges: 2**9 and 3**9 linear blocks are past
+# TABLE_VECTORS, so that walk is rebuilt lazily at each entry, while its ten
+# routing blocks and every other walk here are built once and replayed
+WIDE_NODE = parse_instance(
+    "session 1 s1 t1\nsession 2 s2 t2\nedge s1 v cap=5\nedge s2 v cap=4\n"
+    "edge v w\nedge w t1\nedge w t2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "q, routing, blocks", [(2, False, 544), (3, False, 19_731), (2, True, 42)],
+    ids=["q2", "q3", "routing"],
+)
+def test_a_node_past_the_walk_bound_keeps_its_counts(q, routing, blocks):
+    # the reference takes 263,176 blocks at q=2 and is not run at q=3
+    if q == 2:
+        report = _same_as_reference(WIDE_NODE, q, routing=routing)
+    else:
+        report = oracle._search(WIDE_NODE, q, 1, oracle.DEFAULT_BUDGET, routing)
+    assert (report.enumerated, report.exhausted, report.code) == (blocks, True, None)
+
+
+@pytest.mark.parametrize(
+    "q, routing, budget",
+    [
+        (3, False, 5),  # the second of three blocks on an edge into v: cached
+        (2, True, 15),  # the fifth of v -> w's ten routing blocks: cached
+        (2, False, 100),  # the 90th of v -> w's 512 blocks: lazy
+        (3, False, 300),  # the 290th of v -> w's 19,683 blocks: lazy
+    ],
+)
+def test_a_budget_cut_mid_walk_keeps_the_count(q, routing, budget):
+    report = _same_as_reference(WIDE_NODE, q, budget=budget, routing=routing)
+    assert (report.enumerated, report.exhausted, report.code) == (budget + 1, False, None)
+
+
+@pytest.mark.parametrize("T", (1, 2))
+@pytest.mark.parametrize(
+    "q, routing", [(2, False), (3, False), (5, False), (2, True)],
+    ids=["q2", "q3", "q5", "routing"],
+)
+@pytest.mark.parametrize(
+    "make", [lambda: sample_1m(0, 1), gen_113, gen_fig1], ids=["sample_1m-m1-0", "fig2b", "fig1"]
+)
+def test_replayed_walks_match_the_reference(make, q, T, routing):
+    # the reference finishes every sample_1m(0, 1) search within the budget,
+    # and fig2b and fig1 at T=1 and some at T=2; where it does not, only the
+    # block count is compared
+    _same_as_reference(make(), q, T, budget=12_000, routing=routing, rerun=False)
+
+
+def test_linear_blocks_are_built_once_per_generator_tuple(monkeypatch):
+    calls = []
+    build = oracle._linear_blocks
+    monkeypatch.setattr(
+        oracle, "_linear_blocks", lambda arith, gens: calls.append(tuple(gens)) or build(arith, gens)
+    )
+    # 726 node entries over 34 distinct generator tuples
+    brute_force_scalar(gen_232(), 2)
+    assert len(calls) == len(set(calls)) == 34
+    calls.clear()
+    brute_force_scalar(WIDE_NODE, 3)
+    cached = [gens for gens in calls if 3 ** len(gens) <= oracle.TABLE_VECTORS]
+    assert cached and len(cached) == len(set(cached))
 
 
 @pytest.mark.parametrize("n", (0, 1, 3))
