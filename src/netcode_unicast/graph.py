@@ -66,10 +66,6 @@ class UnicastInstance:
     sessions: tuple[Session, ...]
     out_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     in_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    # a topological order proved by pos[tail] < pos[head] on every edge, and
-    # whether it is ``topo_order``
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _canonical: bool = field(init=False, repr=False, compare=False)
     # (T, the T-slot expansion) kept by the last ``expand_time`` with T > 1
     _expansion: tuple[int, UnicastInstance] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -80,15 +76,9 @@ class UnicastInstance:
     )
 
     def __post_init__(self) -> None:
-        self._check()
-
-    def _check(self, order: Sequence[int] | None = None, canonical: bool = False) -> None:
         """Every structural check; fills the adjacency and proves the graph
-        acyclic.  A derived instance passes ``order``, a candidate topological
-        order taken from its source, and ``canonical`` when it is also the
-        smallest one; without a candidate, or when it fails, the sort proves
-        acyclicity (or names a cycle) and gives ``topo_order`` at once."""
-        names, n = self.names, len(self.names)
+        acyclic in one linear pass."""
+        names, edges, n = self.names, self.edges, len(self.names)
         if len(set(names)) != n:
             raise InstanceError("duplicate node names")
         # one pass in C over all names; the loop only names the offender
@@ -99,7 +89,7 @@ class UnicastInstance:
                     raise InstanceError(f"invalid node name {name!r}")
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
+        for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise InstanceError(f"edge {eid} references unknown node")
             if u == v:
@@ -111,41 +101,23 @@ class UnicastInstance:
                 raise InstanceError("session references unknown node")
         object.__setattr__(self, "out_edges", tuple(map(tuple, out)))
         object.__setattr__(self, "in_edges", tuple(map(tuple, inc)))
-        # a permutation of the nodes with every tail before its head proves
-        # the graph acyclic
-        proved = order is not None and sorted(order) == list(range(n))
-        if proved:
-            pos = [0] * n
-            for i, v in enumerate(order):
-                pos[v] = i
-            proved = all(pos[u] < pos[v] for u, v in self.edges)
-        if not proved:
-            order, canonical = self._toposort(), True
-        order = tuple(order)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_canonical", canonical)
-        if canonical:
-            object.__setattr__(self, "topo_order", order)
+        # remove nodes whose in-edges are all gone; a node left over lies on
+        # or below a cycle
+        indeg = list(map(len, inc))
+        ready = [v for v in range(n) if not indeg[v]]
+        for v in ready:
+            for eid in out[v]:
+                w = edges[eid][1]
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+        if len(ready) != n:
+            raise InstanceError("graph contains a directed cycle")
 
-    @classmethod
-    def _derived(
-        cls,
-        names: tuple[str, ...],
-        edges: tuple[tuple[int, int], ...],
-        sessions: tuple[Session, ...],
-        order: Sequence[int],
-        canonical: bool = False,
-    ) -> UnicastInstance:
-        """An instance built from another, checked as the constructor checks
-        one, but proved acyclic by the candidate ``order`` (see
-        :meth:`_check`) rather than by a sort."""
-        inst = object.__new__(cls)
-        for attr, value in (("names", names), ("edges", edges), ("sessions", sessions)):
-            object.__setattr__(inst, attr, value)
-        inst._check(order, canonical)
-        return inst
-
-    def _toposort(self) -> tuple[int, ...]:
+    @cached_property
+    def topo_order(self) -> tuple[int, ...]:
+        """The lexicographically smallest topological order, computed on
+        first read."""
         n = len(self.names)
         indeg = [len(self.in_edges[v]) for v in range(n)]
         heap = [v for v in range(n) if indeg[v] == 0]
@@ -159,16 +131,7 @@ class UnicastInstance:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(heap, w)
-        if len(order) != n:
-            raise InstanceError("graph contains a directed cycle")
         return tuple(order)
-
-    @cached_property
-    def topo_order(self) -> tuple[int, ...]:
-        """The lexicographically smallest topological order.  A checked
-        instance holds it from the start, a derived one on the same node
-        pairs inherits it, and any other computes it on first read."""
-        return self._toposort()
 
     # -- basic queries ----------------------------------------------------
 
@@ -224,9 +187,7 @@ class UnicastInstance:
     # -- construction helpers ---------------------------------------------
 
     def with_sessions(self, sessions: Sequence[Session]) -> "UnicastInstance":
-        return UnicastInstance._derived(
-            self.names, self.edges, tuple(sessions), self._order, self._canonical
-        )
+        return UnicastInstance(self.names, self.edges, tuple(sessions))
 
     def keep_edges(self, keep: Iterable[int]) -> tuple["UnicastInstance", tuple[int, ...]]:
         """Sub-instance on a subset of edges.
@@ -239,9 +200,7 @@ class UnicastInstance:
             bad = next(e for e in kept if not 0 <= e < len(self.edges))
             raise InstanceError(f"unknown edge id {bad}")
         new_edges = tuple(self.edges[e] for e in kept)
-        # fewer edges keep any order, but not always the smallest one
-        sub = UnicastInstance._derived(self.names, new_edges, self.sessions, self._order)
-        return sub, kept
+        return UnicastInstance(self.names, new_edges, self.sessions), kept
 
 
 def build_instance(
@@ -444,10 +403,7 @@ def attach_endpoints(
         edges.extend([(src, s.source)] * w)
         edges.extend([(s.terminal, dst)] * w)
         sessions.append(Session(src, dst, s.rate))
-    # fresh sources feed old nodes only and fresh terminals are fed only
-    fresh = range(instance.n_nodes, len(names))
-    order = (*fresh[::2], *instance._order, *fresh[1::2])
-    return UnicastInstance._derived(tuple(names), tuple(edges), tuple(sessions), order)
+    return UnicastInstance(tuple(names), tuple(edges), tuple(sessions))
 
 
 def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
@@ -473,9 +429,6 @@ def expand_time(instance: UnicastInstance, T: int) -> UnicastInstance:
         return instance._expansion[1]
     edges = tuple(edge for edge in instance.edges for _ in range(T))
     sessions = tuple(Session(s.source, s.terminal, s.rate * T) for s in instance.sessions)
-    # parallel copies join the same node pairs, so both orders carry over
-    expanded = UnicastInstance._derived(
-        instance.names, edges, sessions, instance._order, instance._canonical
-    )
+    expanded = UnicastInstance(instance.names, edges, sessions)
     object.__setattr__(instance, "_expansion", (T, expanded))
     return expanded

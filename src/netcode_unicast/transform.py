@@ -103,7 +103,6 @@ def structure(instance: UnicastInstance) -> UnicastInstance:
     names = list(instance.names)
     taken = set(names)
     edges: list[tuple[int, int]] = list(instance.edges)
-    cells: dict[int, range] = {}  # the crossbar nodes of each replaced node
 
     for v in wide:
         ins, outs = instance.in_edges[v], instance.out_edges[v]
@@ -115,7 +114,6 @@ def structure(instance: UnicastInstance) -> UnicastInstance:
         rows, cols = max(p, 1), max(r, 1)
         merge = [[0] * cols for _ in range(rows)]
         fork = [[0] * cols for _ in range(rows)]
-        cells[v] = range(len(names), len(names) + 2 * rows * cols)
         for a in range(rows):
             for b in range(cols):
                 names.append(_fresh_name(f"{base}~m{a}x{b}", taken))
@@ -137,10 +135,7 @@ def structure(instance: UnicastInstance) -> UnicastInstance:
                 if a + 1 < rows:
                     edges.append((fork[a][b], merge[a + 1][b]))
 
-    # each crossbar row-major at its node's slot: a cell's merge before its
-    # fork, and every fork before the merges right of and below it
-    order = [w for v in instance._order for w in (v, *cells.get(v, ()))]
-    return UnicastInstance._derived(tuple(names), tuple(edges), instance.sessions, order)
+    return UnicastInstance(tuple(names), tuple(edges), instance.sessions)
 
 
 def _wide_nodes(instance: UnicastInstance) -> list[int]:

@@ -36,7 +36,7 @@ from netcode_unicast import (
 from netcode_unicast import cli, constructors, flows, graph, netcode, oracle, transform
 from netcode_unicast.cli import main
 from netcode_unicast.netcode import TerminalReport
-from test_graph import record_expansions
+from test_graph import record_builds, record_expansions
 from test_netcode import BUTTERFLY, BUTTERFLY_CODE, with_global_lines
 
 
@@ -360,13 +360,16 @@ def test_structure_at_the_cell_bound(tmp_path):
 
 
 def test_structure_past_the_cell_bound_exits_2_before_building(tmp_path, monkeypatch):
+    src, out_path = _hub(tmp_path, 201), tmp_path / "h.txt"
+    given = load_instance(src)
     monkeypatch.setattr(transform, "_fresh_name", _refuse("_fresh_name"))
-    monkeypatch.setattr(graph.UnicastInstance, "_derived", _refuse("_derived"))
-    out_path = tmp_path / "h.txt"
-    rc, out, err = run_cli("structure", _hub(tmp_path, 201), "-o", str(out_path))
+    built = record_builds(monkeypatch)
+    rc, out, err = run_cli("structure", src, "-o", str(out_path))
     assert (rc, out) == (2, "")
     assert "structuring needs 40401 crossbar cells, above the bound of 40000" in err
     assert not out_path.exists()
+    # only the input was built
+    assert built == [given]
 
 
 def _build(edges, pairs):
@@ -763,12 +766,15 @@ def test_code_past_the_expansion_bound_exits_2_before_expanding(tmp_path, monkey
     bound = graph.MAX_EXPANDED_EDGES
     cap = math.isqrt(bound) + 1
     assert (cap - 1) ** 2 <= bound < cap * cap
-    # nothing is derived, the expansion included, and nothing is planned
-    monkeypatch.setattr(graph.UnicastInstance, "_derived", _refuse("_derived"))
+    src = _wide_edge(tmp_path, cap)
+    given = load_instance(src)
+    # only the input is built, not the expansion, and nothing is planned
+    built = record_builds(monkeypatch)
     monkeypatch.setattr(constructors, "edge_disjoint_paths", _refuse("edge_disjoint_paths"))
-    rc, out, err = run_cli("code", _wide_edge(tmp_path, cap), "-o", str(tmp_path / "w.code"))
+    rc, out, err = run_cli("code", src, "-o", str(tmp_path / "w.code"))
     assert (rc, out) == (2, "")
     assert f"the {cap}-slot expansion has {cap * cap} edges, above the bound of {bound}" in err
+    assert built == [given]
 
 
 @pytest.mark.parametrize("bound", [None, 40 * 40 - 1])
@@ -782,11 +788,14 @@ def test_verify_past_the_expansion_bound_exits_2_before_expanding(
     cap = bound + 1
     code_path = tmp_path / "wide.code"
     code_path.write_text("field q=2\nvector T=1\n" + "".join(f"code {e} :\n" for e in range(cap)))
-    # nothing is derived, the expansion included
-    monkeypatch.setattr(graph.UnicastInstance, "_derived", _refuse("_derived"))
-    rc, out, err = run_cli("verify", _wide_edge(tmp_path, cap), str(code_path))
+    src = _wide_edge(tmp_path, cap)
+    given = load_instance(src)
+    # only the input is built, not the expansion
+    built = record_builds(monkeypatch)
+    rc, out, err = run_cli("verify", src, str(code_path))
     assert (rc, out) == (2, "")
     assert f"the 1-slot expansion has {cap} edges, above the bound of {bound}" in err
+    assert built == [given]
 
 
 def test_verify_nonpositive_T_exits_2(fig1, tmp_path):

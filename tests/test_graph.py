@@ -1,9 +1,10 @@
 """Instance model, file round-trips, endpoint attachment, time expansion."""
 
+import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_flows import random_dag_instance
 
@@ -89,6 +90,11 @@ def test_cap_expands_to_parallel_edges():
         ("edge s t weight=2\nsession 1 s t\n", "attribute"),
         ("session 1 s t\nedge s t cap=1000000000000\n", "line 2: capacity 10+ exceeds 65536"),
         ("session 1 s t rate=1000000000000\nedge s t\n", "line 1: rate 10+ exceeds 65536"),
+        ("session x s t\nedge s t\n", "line 1: bad session index 'x'"),
+        ("session 1 s\nedge s t\n", "line 1: expected 'session <i> <src> <dst> \\[rate=<r>\\]'"),
+        ("session 1 s t speed=2\nedge s t\n", "line 1: bad session attribute 'speed=2'"),
+        ("session 1 s t\nedge s t cap=x\n", "line 2: bad capacity 'cap=x'"),
+        ("session 1 s t rate=y\nedge s t\n", "line 1: bad rate 'rate=y'"),
     ],
 )
 def test_parse_errors(text, needle):
@@ -115,6 +121,65 @@ def test_toposort_deterministic():
     assert inst.edges_in_topo_order() == [0, 1, 2, 3]
 
 
+@st.composite
+def digraphs(draw):
+    """Up to 7 nodes and 12 edges, parallel ones allowed.  Each edge points
+    along a hidden node order unless drawn reversed, so acyclic graphs and
+    cycles of every length both occur, as do nodes no edge touches."""
+    n = draw(st.integers(1, 7))
+    rank = draw(st.permutations(range(n)))
+    edges = []
+    for _ in range(draw(st.integers(0, 12 if n > 1 else 0))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 2))
+        v += v >= u
+        if (rank[u] < rank[v]) == draw(st.booleans()):
+            u, v = v, u
+        edges.append((u, v))
+    return n, edges
+
+
+def _has_cycle(n, edges):
+    """Depth-first search: a cycle closes on a node still on the stack."""
+    succ = [[v for u, v in edges if u == w] for w in range(n)]
+    state = [0] * n  # 0 unseen, 1 on the stack, 2 done
+
+    def visit(u):
+        state[u] = 1
+        for v in succ[u]:
+            if state[v] == 1 or (state[v] == 0 and visit(v)):
+                return True
+        state[u] = 2
+        return False
+
+    return any(state[u] == 0 and visit(u) for u in range(n))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(digraphs())
+@example((2, [(0, 1), (1, 0)]))  # a 2-cycle
+@example((2, [(0, 1), (0, 1), (1, 0)]))  # a 2-cycle over a parallel pair
+# a 3-cycle no source reaches, beside a path and an isolated node
+@example((6, [(0, 1), (2, 3), (3, 4), (4, 2)]))
+@example((6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]))  # a 6-cycle
+@example((5, [(4, 1), (3, 1)]))  # isolated nodes in an acyclic graph
+@example((7, []))
+def test_constructor_refuses_exactly_the_cyclic_graphs(graph_spec):
+    n, edges = graph_spec
+    names = tuple(f"v{i}" for i in range(n))
+    if _has_cycle(n, edges):
+        with pytest.raises(InstanceError, match="graph contains a directed cycle"):
+            UnicastInstance(names, tuple(edges), ())
+        return
+    inst = UnicastInstance(names, tuple(edges), ())
+    # the first permutation in lexicographic order with every tail first
+    smallest = next(
+        order for order in itertools.permutations(range(n))
+        if all(order.index(u) < order.index(v) for u, v in edges)
+    )
+    assert inst.topo_order == smallest
+
+
 def test_observed_symbols_and_offsets():
     inst = build_instance(
         [("s", "t"), ("s", "u"), ("u", "t")],
@@ -136,6 +201,18 @@ def test_keep_edges_renumbers_densely():
     assert sub.edges == ((0, 1), (0, 2))
     assert kept == (0, 2)
     assert sub.names == inst.names
+
+
+@pytest.mark.parametrize("eid", [5, -1])
+def test_keep_edges_refuses_an_unknown_edge_id(eid):
+    inst = build_instance([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t")])
+    with pytest.raises(InstanceError, match=f"unknown edge id {eid}"):
+        inst.keep_edges([0, eid])
+
+
+def test_build_instance_refuses_a_session_on_an_unknown_node():
+    with pytest.raises(InstanceError, match="unknown node 'x' in session"):
+        build_instance([("s", "t")], [("s", "x")])
 
 
 def test_attach_endpoints_adds_width_many_edges():
@@ -239,14 +316,25 @@ def test_expand_time_keeps_its_expansion():
     assert expand_time(inst, 3) is expand_time(inst, 3)
 
 
+def record_builds(monkeypatch) -> list:
+    """Patch the constructor's checks to record every instance built, so a
+    test can show that nothing was built past a bound."""
+    built: list = []
+    real = UnicastInstance.__post_init__
+
+    def recorded(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(UnicastInstance, "__post_init__", recorded)
+    return built
+
+
 def test_expand_time_refuses_past_the_bound_before_building(monkeypatch):
     at_bound = build_instance([("s", "t")] * 200, [("s", "t")])
     assert expand_time(at_bound, 200).n_edges == MAX_EXPANDED_EDGES
 
-    def refused(*args):
-        raise AssertionError("an instance was derived past the expansion bound")
-
-    monkeypatch.setattr(UnicastInstance, "_derived", refused)
+    built = record_builds(monkeypatch)
     inst = build_instance([("s", "t")] * 201, [("s", "t")])
     with pytest.raises(InstanceError, match="the 200-slot expansion has 40200 edges, above"):
         expand_time(inst, 200)
@@ -255,6 +343,8 @@ def test_expand_time_refuses_past_the_bound_before_building(monkeypatch):
     wide = build_instance([("s", "t")] * (MAX_EXPANDED_EDGES + 1), [("s", "t")])
     with pytest.raises(InstanceError, match="the 1-slot expansion has 40001 edges, above"):
         expand_time(wide, 1)
+    # only the two inputs were built
+    assert [id(x) for x in built] == [id(inst), id(wide)]
 
 
 def test_instance_structural_validation():
@@ -278,11 +368,11 @@ def test_valid_name_agrees_with_a_per_character_check():
     assert not all(_valid_name(n) for n in names)
 
 
-# -- derived instances: checked, and acyclic by a certified order -------------
+# -- derived instances: built and checked by the constructor -----------------
 
 
 def _checked(inst):
-    """``inst`` rebuilt through the constructor, which sorts its nodes anew."""
+    """``inst`` rebuilt from its names, edges and sessions alone."""
     return UnicastInstance(inst.names, inst.edges, inst.sessions)
 
 
@@ -332,12 +422,8 @@ def derivation_chains(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(derivation_chains())
 def test_derived_instances_equal_checked_ones(chain):
-    for (_, parent), (step, inst) in zip(chain, chain[1:]):
-        # no derivation sorts: its candidate order is proved as it stands,
-        # and only the same node pairs inherit the smallest order
-        assert inst._canonical == (step in ("sessions", "time") and parent._canonical)
     # read the orders last, so each derivation started from a parent whose
-    # smallest order was never computed unless the parent was checked
+    # smallest order was never computed
     for _, inst in chain[1:]:
         _assert_as_checked(inst)
 
@@ -346,31 +432,11 @@ def test_derived_instances_equal_checked_ones(chain):
 @given(derivation_chains())
 def test_edges_in_topo_order_is_the_sorted_order(chain):
     # the definition the out-edge walk replaced: by the tail's position in
-    # topo_order, then by id; kept and attached instances are non-canonical
+    # topo_order, then by id
     for _, inst in chain:
         pos = {v: i for i, v in enumerate(inst.topo_order)}
         by_tail = sorted(range(inst.n_edges), key=lambda e: (pos[inst.edges[e][0]], e))
         assert inst.edges_in_topo_order() == by_tail
-
-
-def test_derived_sorts_only_when_the_candidate_fails():
-    inst = build_instance([("b", "a"), ("a", "c"), ("b", "c")], [("b", "c")])
-    b, a, c = 0, 1, 2
-    proved = UnicastInstance._derived(inst.names, inst.edges, inst.sessions, (b, a, c))
-    assert proved._order == (b, a, c) and "topo_order" not in vars(proved)
-    # a stale candidate on an acyclic graph falls back to the sort
-    stale = UnicastInstance._derived(inst.names, inst.edges, inst.sessions, (c, a, b))
-    assert stale._order == stale.topo_order == (0, 1, 2)
-    for wrong in ((0, 1), (0, 0, 1), (0, 1, 5)):
-        again = UnicastInstance._derived(inst.names, inst.edges, inst.sessions, wrong)
-        assert again.topo_order == (0, 1, 2)
-
-
-def test_derived_refuses_a_cycle_under_a_stale_order():
-    with pytest.raises(InstanceError, match="graph contains a directed cycle"):
-        UnicastInstance._derived(
-            ("a", "b", "c"), ((0, 1), (1, 2), (2, 0)), (Session(0, 2),), (0, 1, 2)
-        )
 
 
 @pytest.mark.parametrize(
@@ -388,9 +454,6 @@ def test_derived_refuses_a_cycle_under_a_stale_order():
     ],
 )
 def test_derived_runs_every_check_of_the_constructor(names, edges, sessions, needle):
-    for build in (
-        lambda: UnicastInstance(names, edges, sessions),
-        lambda: UnicastInstance._derived(names, edges, sessions, range(len(names))),
-    ):
-        with pytest.raises(InstanceError, match=needle):
-            build()
+    # every derivation builds through the constructor, so these are its checks
+    with pytest.raises(InstanceError, match=needle):
+        UnicastInstance(names, edges, sessions)

@@ -190,6 +190,12 @@ def test_code_from_plan_rejects_a_vector_on_a_missing_edge(eid):
         code_from_plan(BUTTERFLY, 2, 2, {14 if eid == 7 else eid: (1, 0, 0, 0)})
 
 
+def test_code_from_plan_rejects_a_vector_of_the_wrong_length():
+    # BUTTERFLY carries two unit symbols at T=1
+    with pytest.raises(CodeError, match="edge 0: plan vector has the wrong length"):
+        code_from_plan(BUTTERFLY, 2, 1, {0: (1, 0, 0)})
+
+
 def test_is_routing():
     assert is_routing([(0, 0), (1, 0), (0, 1)])
     assert not is_routing([(1, 1)])
@@ -235,6 +241,9 @@ def test_code_file_with_globals():
         ("field q=2\nvector T=1\ncode 0 x0=1\n", "expected"),
         ("field q=2\nvector T=1\nnoise\n", "unknown directive"),
         ("field q=x\n", "bad integer"),
+        ("field\n", "line 1: expected 'field q=<q>'"),
+        ("field q=2\nvector T=1 x\n", "line 2: expected 'vector T=<T>'"),
+        ("field q=2\nvector T=1\nglobal 0 :\n", "line 3: expected 'global <edge-id> : v,\\.\\.\\.'"),
     ],
 )
 def test_code_parse_errors(text, needle):
