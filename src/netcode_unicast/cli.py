@@ -224,15 +224,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         report = brute_force_routing(inst, args.T, budget=args.budget)
     else:
         report = brute_force_scalar(inst, args.q, args.T, budget=args.budget)
-    code_ref = "none"
-    if report.code is not None:
-        if args.output:
-            save_code(report.code, args.output)
-            print(f"CODE: {args.output}")
-            code_ref = args.output
-        else:
-            code_ref = "found"
-    print(f"RESULT: {report.summary(code_ref)}")
+    if report.code is not None and args.output:
+        save_code(report.code, args.output)
+        print(f"CODE: {args.output}")
+    print(f"RESULT: {report.summary(args.output)}")
     if report.code is not None:
         return 0
     return 1 if report.exhausted else 2

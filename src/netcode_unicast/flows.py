@@ -199,7 +199,7 @@ def edge_disjoint_paths(
     """``k`` pairwise edge-disjoint session paths decomposed from a max flow,
     each the tuple of its edge ids from source to terminal.
 
-    ``k`` defaults to the max-flow value and may not exceed it.  The
+    ``k`` defaults to the max-flow value and must lie between 0 and it.  The
     decomposition repeatedly walks from the source along the smallest-id
     unused flow edge, so the result is deterministic.
     """
@@ -207,7 +207,7 @@ def edge_disjoint_paths(
     value, flow = _unit_flow(instance, (s.source,), (s.terminal,))
     if k is None:
         k = value
-    if k > value:
+    if not 0 <= k <= value:
         raise InstanceError(f"requested {k} paths but max-flow is {value}")
     # each node's flow out-edges, ascending, listed when a walk first
     # reaches it; a walk leaves by the first one no walk has taken

@@ -172,12 +172,8 @@ class UnicastInstance:
 
     def observed_symbols(self, node: int) -> tuple[int, ...]:
         """Unit-symbol indices injected at ``node`` (sources observe own block)."""
-        offsets = self.symbol_offsets()
-        out: list[int] = []
-        for i, s in enumerate(self.sessions):
-            if s.source == node:
-                out.extend(range(offsets[i], offsets[i] + s.rate))
-        return tuple(out)
+        mine = [i for i, s in enumerate(self.sessions) if s.source == node]
+        return tuple(k for i in mine for k in self.session_symbols(i))
 
     def session_symbols(self, index: int) -> tuple[int, ...]:
         offsets = self.symbol_offsets()
@@ -203,6 +199,17 @@ class UnicastInstance:
         return UnicastInstance(self.names, new_edges, self.sessions), kept
 
 
+def _numbered(
+    pairs: Iterable[tuple[str, str]],
+) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple[int, int], ...]]:
+    """Node names in order of first appearance in ``pairs``, the name -> id
+    map, and ``pairs`` as id pairs."""
+    index: dict[str, int] = {}
+    add = index.setdefault
+    ids = tuple((add(u, len(index)), add(v, len(index))) for u, v in pairs)
+    return tuple(index), index, ids
+
+
 def build_instance(
     edges: Sequence[tuple[str, str]],
     sessions: Sequence[tuple[str, str] | tuple[str, str, int]],
@@ -210,27 +217,19 @@ def build_instance(
     """Assemble an instance from named edge and session lists.
 
     Node ids follow first appearance in ``edges``; session endpoints must
-    already occur there.
+    already occur there.  A session is (source, terminal) or (source,
+    terminal, rate).
     """
-    names: list[str] = []
-    index: dict[str, int] = {}
-
-    def nid(name: str) -> int:
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        return index[name]
-
-    edge_ids = tuple((nid(u), nid(v)) for u, v in edges)
+    names, index, edge_ids = _numbered(edges)
     sess: list[Session] = []
     for spec in sessions:
-        src, dst = spec[0], spec[1]
-        rate = spec[2] if len(spec) == 3 else 1
-        for name in (src, dst):
+        if len(spec) not in (2, 3):
+            raise InstanceError(f"session must be (source, terminal[, rate]), got {spec!r}")
+        for name in spec[:2]:
             if name not in index:
                 raise InstanceError(f"unknown node {name!r} in session")
-        sess.append(Session(index[src], index[dst], rate))
-    return UnicastInstance(tuple(names), edge_ids, tuple(sess))
+        sess.append(Session(index[spec[0]], index[spec[1]], *spec[2:]))
+    return UnicastInstance(names, edge_ids, tuple(sess))
 
 
 # -- file format ----------------------------------------------------------
@@ -267,7 +266,7 @@ def parse_instance(text: str) -> UnicastInstance:
             or non-contiguous session index, unknown node in a session line,
             or a directed cycle.
     """
-    edge_specs: list[tuple[str, str, int]] = []
+    edge_pairs: list[tuple[str, str]] = []  # one per unit edge, cap= expanded
     session_specs: list[tuple[int, str, str, int, int]] = []  # (idx, src, dst, rate, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -287,7 +286,7 @@ def parse_instance(text: str) -> UnicastInstance:
                     raise InstanceError(f"line {lineno}: capacity must be >= 1")
             if parts[1] == parts[2]:
                 raise InstanceError(f"line {lineno}: self-loop on node {parts[1]!r}")
-            edge_specs.append((parts[1], parts[2], cap))
+            edge_pairs += [(parts[1], parts[2])] * cap
         elif kind == "session":
             if len(parts) not in (4, 5):
                 raise InstanceError(
@@ -306,16 +305,7 @@ def parse_instance(text: str) -> UnicastInstance:
         else:
             raise InstanceError(f"line {lineno}: unknown directive {kind!r}")
 
-    names: list[str] = []
-    index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    for u, v, cap in edge_specs:
-        for name in (u, v):
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-        edges.extend([(index[u], index[v])] * cap)
-
+    names, index, edges = _numbered(edge_pairs)
     session_specs.sort(key=lambda s: (s[0], s[4]))
     sessions: list[Session] = []
     seen: set[int] = set()
@@ -334,7 +324,7 @@ def parse_instance(text: str) -> UnicastInstance:
             raise InstanceError(f"line {lineno}: {exc}") from None
     if not sessions:
         raise InstanceError("instance declares no sessions")
-    return UnicastInstance(tuple(names), tuple(edges), tuple(sessions))
+    return UnicastInstance(names, edges, tuple(sessions))
 
 
 def serialize_instance(instance: UnicastInstance) -> str:

@@ -29,11 +29,12 @@ vector before it: one addition per block, plus n - 1 more for each of the
 q**(n-1) blocks that end in 0.  The same generator tuple recurs at many
 node entries (a cor232 search at q=2 enters 726 nodes over 34 tuples), so
 each tuple's walk of (block, vector) pairs is built once per search and
-replayed after that: in routing always, in linear mode while q**n is at
-most ``TABLE_VECTORS``; a longer walk is built lazily at each entry.  A
-lookup in the join row of the head's span gives the new span id, or -1 at
-a terminal's last in-edge where the span misses a wanted unit; an
-``itemgetter`` and a set probe test the next key.
+replayed after that: in routing always (its n + 1 blocks copy no generator
+or one), in linear mode while q**n is at most ``TABLE_VECTORS``; a longer
+walk is built lazily at each entry.  A lookup in the join row of the head's
+span gives the new span id, or -1 at a terminal's last in-edge where the
+span misses a wanted unit; an ``itemgetter`` of the live nodes' span ids
+and a set probe test the next memo key.
 
 Arithmetic.  Vectors over GF(q) have L = T * (total rate) coordinates.  At
 q = 2 they are bitmasks and adding is XOR.  For q >= 3, while the q**L
@@ -117,12 +118,14 @@ def classify_triple(k: Sequence[int]) -> Verdict:
     triple dominates [1, 3, 3]; [3, 3, 3] admits plain time-shared routing
     while the rest of the feasible region needs coding over two time slots.
     """
-    ks = tuple(int(x) for x in k)
+    ks = tuple(k)
     if len(ks) != 3:
         raise ValueError(f"expected a triple, got {len(ks)} entries")
+    if not all(isinstance(x, int) for x in ks):
+        raise ValueError(f"entries must be integers, got {list(ks)}")
     if any(not 1 <= x <= 3 for x in ks):
         raise ValueError(f"entries must lie in [1, 3], got {list(ks)}")
-    s = tuple(sorted(ks))
+    s = tuple(sorted(map(int, ks)))
     if s[1] >= 3 and s[2] >= 3:
         strategy = "routing" if s == (3, 3, 3) else "vector-T2"
         return Verdict(s, True, strategy, None)
@@ -328,13 +331,13 @@ class SearchReport:
     code: NetworkCode | None
     pruned: int = 0
 
-    def summary(self, code_ref: str = "none") -> str:
-        """Flat key=value rendering; ``code_ref`` names the stored code."""
-        found = self.code is not None
+    def summary(self, code_ref: str | None = None) -> str:
+        """Flat key=value rendering; ``code`` is ``none`` with no code, else
+        ``code_ref`` (where the code is stored) or ``found``."""
+        code = "none" if self.code is None else code_ref or "found"
         return (
             f"field={self.q} T={self.T} enumerated={self.enumerated} "
-            f"exhausted={str(self.exhausted).lower()} "
-            f"code={code_ref if found else 'none'}"
+            f"exhausted={str(self.exhausted).lower()} code={code}"
         )
 
 
@@ -448,13 +451,9 @@ class _Lazy(dict):
         return value
 
 
-class _Rows(_Lazy):
-    __slots__ = ("joins",)
-
-
-def _span_rows(arith: _Xor | _Tables | Vectors) -> _Rows:
-    """Join rows over interned spans: ``rows[sid][v]`` is the id of
-    span(sid) + <v>, id 0 is {0}, and ``rows.joins[a][b]`` is the id of
+def _span_rows(arith: _Xor | _Tables | Vectors) -> tuple[_Lazy, _Lazy]:
+    """Join rows over interned spans, ``(rows, joins)``: ``rows[sid][v]`` is
+    the id of span(sid) + <v>, id 0 is {0}, and ``joins[a][b]`` is the id of
     span(a) + span(b).  Equal spans get equal ids.  The spans and their bases
     live in this closure and refer to no row, so the rows form no cycle."""
     canon = [arith.zero_span]
@@ -474,9 +473,8 @@ def _span_rows(arith: _Xor | _Tables | Vectors) -> _Rows:
             a = join(a, v)
         return a
 
-    rows = _Rows(lambda sid: _Lazy(partial(join, sid)))
-    rows.joins = _Lazy(lambda a: _Lazy(partial(join_spans, a)))
-    return rows
+    rows = _Lazy(lambda sid: _Lazy(partial(join, sid)))
+    return rows, _Lazy(lambda a: _Lazy(partial(join_spans, a)))
 
 
 def _checked_rows(rows: _Lazy, units: Sequence) -> _Lazy:
@@ -490,12 +488,12 @@ def _checked_rows(rows: _Lazy, units: Sequence) -> _Lazy:
     return _Lazy(lambda prev: _Lazy(partial(checked, rows[prev])))
 
 
-def _serves(rows: _Rows, terms: list[tuple[list[int], int, list]], sids: list) -> bool:
+def _serves(rows: _Lazy, joins: _Lazy, terms: list[tuple], sids: list) -> bool:
     """False when, for some (reads, base, units) in ``terms``, the span base
     joined with the spans ``sids[r]`` for r in reads misses one of units."""
     for reads, sid, units in terms:
         for r in reads:
-            sid = rows.joins[sid][sids[r]]
+            sid = joins[sid][sids[r]]
         row = rows[sid]
         for u in units:
             if row[u] != sid:
@@ -520,18 +518,14 @@ def _linear_blocks(arith, gens: Sequence) -> Iterator[tuple[tuple[int, ...], obj
         yield block, v
 
 
-def _routing_blocks(n: int) -> tuple[list[tuple[int, ...]], Callable[[list], Sequence]]:
-    """The routing blocks over n generators in lexicographic order, and a
-    getter that takes ``[zero, *gens]`` to the vectors those blocks form, in
-    the same order: all zero first, then a single 1 moving from the last
-    position to the first."""
-    blocks = [(0,) * n]
-    picks = [0]
-    for j in reversed(range(n)):
-        blocks.append((0,) * j + (1,) + (0,) * (n - 1 - j))
-        picks.append(j + 1)
-    # with a single pick itemgetter would return the bare vector
-    return blocks, itemgetter(*picks) if n else list
+def _routing_walk(zero: object, gens: Sequence) -> list[tuple[tuple[int, ...], object]]:
+    """The routing blocks over ``gens`` in lexicographic order, each with the
+    vector it forms: all zero first, then a single 1 moving from the last
+    generator to the first."""
+    n = len(gens)
+    return [((0,) * n, zero)] + [
+        ((0,) * j + (1,) + (0,) * (n - 1 - j), gens[j]) for j in reversed(range(n))
+    ]
 
 
 def _no_live(state: list) -> tuple:
@@ -574,7 +568,7 @@ def _search(
 
     # the blocks at position i are read through the join row of the span of
     # heads[i]'s in-edges before i; a terminal is checked at its last in-edge
-    rows = _span_rows(arith)
+    rows, joins = _span_rows(arith)
     joins_at = [rows] * M
     wanted: dict[int, list] = {}
     for idx, s in enumerate(expanded.sessions):
@@ -619,20 +613,16 @@ def _search(
                 reads = [r for n, r in live.items() if n == t or reach[n] & j]
                 terms.append((reads, base, wanted[t]))
         if terms:
-            ahead_at[p] = partial(_serves, rows, terms)
+            ahead_at[p] = partial(_serves, rows, joins, terms)
 
     in_ids_at = [expanded.in_edges[u] for u in tails]
-    src_ids_at = [observed[u] for u in tails]
     units_at = [units_of.get(u, []) for u in tails]
     # each generator tuple's walk, built on first use and replayed (see "Cost
     # per block"); a linear walk past TABLE_VECTORS stays lazy, so a budget
     # cut at a wide node stops in bounded time and memory
-    routes = _Lazy(_routing_blocks)
-
     def walk(gens: tuple) -> list:
         if routing:
-            blocks, pick = routes[len(gens)]
-            return list(zip(blocks, pick([arith.zero, *gens])))
+            return _routing_walk(arith.zero, gens)
         return list(_linear_blocks(arith, gens))
 
     walk_of = _Lazy(walk)
@@ -698,7 +688,7 @@ def _search(
 
     rules = [None] * M
     for i, block in enumerate(chosen):
-        rules[order[i]] = LocalRule.over(in_ids_at[i], src_ids_at[i], block)
+        rules[order[i]] = LocalRule.over(in_ids_at[i], observed[tails[i]], block)
     code = NetworkCode(q=q, T=T, rules=tuple(rules))
     if not verify_code(instance, code).all_pass:
         raise CodeError("internal error: search returned a non-verifying code")

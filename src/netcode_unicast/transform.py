@@ -163,10 +163,11 @@ def lift_code(
 
     Original edges keep their ids in the structured instance (gadget edges
     are appended after them), and time expansion numbers copies the same way
-    on both sides, so each original expanded edge reuses the global vector
-    of its structured twin.  Every crossbar output is a combination of the
-    crossbar's inputs, which are exactly the original node's in-edges, so
-    the copied vectors are realizable locally.
+    on both sides, so the original's expanded edges are the first
+    ``n_edges * T`` structured ones and each reuses its twin's global vector.
+    Every crossbar output is a combination of the crossbar's inputs, which
+    are exactly the original node's in-edges, so the copied vectors are
+    realizable locally.
 
     No constructor calls this: :func:`~netcode_unicast.constructors.assign_133`
     relies on the same argument but maps its plan through the edge ids.  Its
@@ -177,14 +178,8 @@ def lift_code(
     result = verify_code(structured, code)
     if not result.all_pass:
         raise CodeError("refusing to lift a code that does not verify")
-    vectors = result.vectors
-    T = code.T
-    plan = {
-        e * T + tau: vectors[e * T + tau]
-        for e in range(original.n_edges)
-        for tau in range(T)
-    }
-    lifted = code_from_plan(original, code.q, T, plan)
+    plan = dict(enumerate(result.vectors[: original.n_edges * code.T]))
+    lifted = code_from_plan(original, code.q, code.T, plan)
     if not verify_code(original, lifted).all_pass:
         raise CodeError("lifted code failed verification on the original instance")
     return lifted

@@ -102,8 +102,9 @@ def test_edge_disjoint_paths_contract():
             assert not seen & set(p)
             seen |= set(p)
     assert edge_disjoint_paths(BUTTERFLY, 0, 0) == []
-    with pytest.raises(InstanceError, match="max-flow"):
-        edge_disjoint_paths(BUTTERFLY, 0, 3)
+    for k in (3, -1):
+        with pytest.raises(InstanceError, match="max-flow"):
+            edge_disjoint_paths(BUTTERFLY, 0, k)
 
 
 def shared_bottleneck():

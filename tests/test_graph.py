@@ -215,6 +215,42 @@ def test_build_instance_refuses_a_session_on_an_unknown_node():
         build_instance([("s", "t")], [("s", "x")])
 
 
+@pytest.mark.parametrize("spec", [("s",), ("s", "t", 2, "x"), ()])
+def test_build_instance_refuses_a_malformed_session(spec):
+    with pytest.raises(InstanceError, match=r"session must be \(source, terminal\[, rate\]\)"):
+        build_instance([("s", "t")], [spec])
+
+
+@st.composite
+def named_edge_lists(draw):
+    """Edges over five names, each from a name to a later one in a drawn
+    order, so the graph is acyclic, with repeated pairs and capacities; and
+    sessions between names that occur."""
+    names = draw(st.permutations("abcde"))
+    edges = []
+    for _ in range(draw(st.integers(1, 10))):
+        i = draw(st.integers(0, 3))
+        edges.append((names[i], names[draw(st.integers(i + 1, 4))], draw(st.integers(1, 3))))
+    used = sorted({name for u, v, _ in edges for name in (u, v)})
+    pairs = [(s, t) for s in used for t in used if s != t]
+    sessions = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 2)), min_size=1, max_size=3))
+    return edges, [(s, t, r) for (s, t), r in sessions]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(named_edge_lists())
+def test_parse_and_build_give_equal_instances(case):
+    edges, sessions = case
+    text = "".join(
+        f"session {i} {s} {t}" + (f" rate={r}" if r != 1 else "") + "\n"
+        for i, (s, t, r) in enumerate(sessions, start=1)
+    )
+    text += "".join(f"edge {u} {v}" + (f" cap={c}" if c != 1 else "") + "\n" for u, v, c in edges)
+    unit_edges = [(u, v) for u, v, c in edges for _ in range(c)]
+    specs = [(s, t) if r == 1 else (s, t, r) for s, t, r in sessions]
+    assert parse_instance(text) == build_instance(unit_edges, specs)
+
+
 def test_attach_endpoints_adds_width_many_edges():
     # source s2 sits mid-graph; terminal t1 has an out-edge
     inst = build_instance(

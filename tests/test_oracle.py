@@ -101,7 +101,7 @@ def test_classification_dominance_monotone():
                 assert classify_triple(k2).feasible
 
 
-@pytest.mark.parametrize("bad", [(0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 1)])
+@pytest.mark.parametrize("bad", [(0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 1), (1.5, 3, 3)])
 def test_classification_rejects_bad_triples(bad):
     with pytest.raises(ValueError):
         classify_triple(bad)
@@ -270,6 +270,7 @@ def test_search_report_summary_format():
     assert rep.summary() == "field=2 T=1 enumerated=42 exhausted=true code=none"
     found = brute_force_scalar(BUTTERFLY, 2)
     assert found.summary("bf.code").endswith("exhausted=false code=bf.code")
+    assert found.summary().endswith("exhausted=false code=found")
 
 
 def test_search_consistent_with_constructors():
@@ -542,16 +543,19 @@ def test_lookahead_corners_match_the_reference(name, q, T, routing):
     _same_as_reference(LOOKAHEAD_CORNERS[name], q, T, routing=routing)
 
 
-def test_routing_blocks_are_built_once_per_generator_count(monkeypatch):
+def test_routing_walks_are_built_once_per_generator_tuple(monkeypatch):
     calls = []
-    build = oracle._routing_blocks
-    monkeypatch.setattr(oracle, "_routing_blocks", lambda n: calls.append(n) or build(n))
+    build = oracle._routing_walk
+    monkeypatch.setattr(
+        oracle, "_routing_walk", lambda zero, gens: calls.append(tuple(gens)) or build(zero, gens)
+    )
     # fig1 at T=64 fills MAX_SEARCH_EDGES; the budget stops the walk at once
     assert brute_force_routing(gen_fig1(), 64, budget=1).enumerated == 2
     assert len(calls) <= 2
     calls.clear()
+    # 129 blocks over 10 distinct generator tuples
     brute_force_routing(gen_fig1(), 1)
-    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == len(set(calls)) == 10
 
 
 # v's out-edge combines nine in-edges: 2**9 and 3**9 linear blocks are past
@@ -622,11 +626,12 @@ def test_linear_blocks_are_built_once_per_generator_tuple(monkeypatch):
 
 @pytest.mark.parametrize("n", (0, 1, 3))
 def test_routing_blocks_pair_each_block_with_its_vector(n):
-    blocks, pick = oracle._routing_blocks(n)
-    assert blocks == sorted(blocks)
     gens = [f"g{j}" for j in range(n)]
-    for block, v in zip(blocks, pick(["zero", *gens]), strict=True):
-        chosen = [g for c, g in zip(block, gens) if c]
+    walk = oracle._routing_walk("zero", gens)
+    blocks = [block for block, _ in walk]
+    assert blocks == sorted(set(blocks)) and len(blocks) == n + 1
+    for block, v in walk:
+        chosen = [g for c, g in zip(block, gens, strict=True) if c]
         assert v == (chosen[0] if chosen else "zero") and len(chosen) <= 1
 
 
@@ -679,7 +684,7 @@ def test_tables_hold_field_sums_and_multiples(q, n_symbols):
 def test_span_ids_are_equal_exactly_when_the_spans_are(q, n_symbols, tuples):
     V = Vectors(q, n_symbols)
     arith = V if tuples else oracle._arithmetic(q, n_symbols)
-    rows = oracle._span_rows(arith)
+    rows, joins = oracle._span_rows(arith)
 
     def packed(v):
         # bit or base-q digit k holds coordinate k
@@ -699,3 +704,8 @@ def test_span_ids_are_equal_exactly_when_the_spans_are(q, n_symbols, tuples):
     # one id per span, and no two spans share one
     assert all(len(ids) == 1 for ids in ids_of.values())
     assert len(set().union(*ids_of.values())) == len(ids_of)
+    # joins[a][b] is the id of the sum of the two spans
+    id_of = {span: min(ids) for span, ids in ids_of.items()}
+    for a, ia in id_of.items():
+        for b, ib in id_of.items():
+            assert joins[ia][ib] == id_of[frozenset(V.add(x, y) for x in a for y in b)]
