@@ -22,19 +22,43 @@ memo unentered: verdicts and first codes stay.  The join shrinks only when a
 node fires its last out-edge, so only then is it taken, for the terminals
 that node reaches.
 
+Normal codes.  Linear mode walks one code of each of two families that
+every check treats alike (lex-leader symmetry breaking; Crawford, Ginsberg,
+Luks & Roy 1996):
+
+* (a) edge scaling, q > 2: an edge's block times c != 0, with the later
+  coefficients on that edge times 1/c, keeps every span.  So a block's
+  first nonzero coefficient is 1.
+* (b) source basis: sessions sharing (source, terminal) form a group whose
+  r = sum of rate * T symbols only that source injects and only that
+  terminal wants, all of them.  An invertible change of their basis changes
+  only the group's coordinates in the unit parts at the source's out-edges
+  and keeps every check.  Taking those r coordinates in block order, with k
+  pivots seen at the source's earlier out-edges, a unit part is zero in its
+  first r - k coordinates or is the unit vector at coordinate r - k - 1, the
+  next pivot.
+
+Each rule turns a code into a lexicographically smaller valid one and
+leaves every position before it unchanged.  So the first valid code is
+normal, and so is the first valid completion of any normal prefix: the
+memo's failure facts and the lookahead stay exact, and the verdict and the
+code returned are those of the search over every code, in fewer blocks.
+A walk is keyed by its generator tuple and its spec, the groups' pivot
+counts at the node.  Routing keeps every one-hot block.
+
 Cost per block.  A node whose edge combines n generators (in-edge vectors
-and injected unit symbols) walks its q**n blocks with the last coefficient
-running fastest, so a block adds one copy of the last generator to the
-vector before it: one addition per block, plus n - 1 more for each of the
-q**(n-1) blocks that end in 0.  The same generator tuple recurs at many
-node entries (a cor232 search at q=2 enters 726 nodes over 34 tuples), so
-each tuple's walk of (block, vector) pairs is built once per search and
-replayed after that: in routing always (its n + 1 blocks copy no generator
-or one), in linear mode while q**n is at most ``TABLE_VECTORS``; a longer
-walk is built lazily at each entry.  A lookup in the join row of the head's
-span gives the new span id, or -1 at a terminal's last in-edge where the
-span misses a wanted unit; an ``itemgetter`` of the live nodes' span ids
-and a set probe test the next memo key.
+and injected unit symbols) walks its normal blocks in lexicographic order
+with an odometer: a block raises one coefficient by one and zeroes those
+after it, so it adds one copy of that generator to the kept vector of the
+coefficients before it: one addition per block.  The same walk key recurs
+at many node entries (a cor232 search at q=2 builds 21 walks over 18
+generator tuples), so each walk of (block, vector) pairs is built once per
+search and replayed after that: in routing always (its n + 1 blocks copy no
+generator or one), in linear mode while q**n is at most ``TABLE_VECTORS``; a
+longer walk is built lazily at each entry.  A lookup in the join row of
+the head's span gives the new span id, or -1 at a terminal's last in-edge
+where the span misses a wanted unit; an ``itemgetter`` of the live nodes'
+span ids and a set probe test the next memo key.
 
 Arithmetic.  Vectors over GF(q) have L = T * (total rate) coordinates.  At
 q = 2 they are bitmasks and adding is XOR.  For q >= 3, while the q**L
@@ -48,7 +72,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -71,9 +94,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 36
-# each visited node walks its blocks with itertools.product, which holds
-# range(q) as a tuple of q ints, so the search refuses larger field orders
-# before allocating anything
+# the largest field order a search accepts; it refuses a larger one before
+# expanding anything.  Walks are generated block by block, so nothing here
+# grows with q, but the reference search in the tests lists range(q) at
+# every node it enters
 MAX_SEARCH_FIELD_ORDER = 65537
 # set-up, lookahead included, takes time linear in the expanded edges times
 # the live nodes per position, the same in both modes: fig1 at T=64 sits at
@@ -319,9 +343,11 @@ class SearchReport:
 
     ``enumerated`` counts the coefficient blocks tried, not those in
     subtrees the memo or the lookahead skips; its states are spans, which
-    skip more than exact vectors would.  ``pruned`` counts the states the
-    lookahead cut.  ``exhausted`` true with no code proves that no code of
-    the searched class exists over GF(q) at T.
+    skip more than exact vectors would.  A linear search tries normal blocks
+    only (see :func:`brute_force_scalar`).  ``pruned`` counts the states the
+    lookahead cut, and ``memo_size`` the failed states, cut ones included,
+    that the memos hold at return.  ``exhausted`` true with no code proves
+    that no code of the searched class exists over GF(q) at T.
     """
 
     q: int
@@ -330,6 +356,7 @@ class SearchReport:
     exhausted: bool
     code: NetworkCode | None
     pruned: int = 0
+    memo_size: int = 0
 
     def summary(self, code_ref: str | None = None) -> str:
         """Flat key=value rendering; ``code`` is ``none`` with no code, else
@@ -353,14 +380,6 @@ class _Xor:
     @staticmethod
     def unit(k: int) -> int:
         return 1 << k
-
-    @staticmethod
-    def combine(block: Sequence[int], gens: Sequence[int]) -> int:
-        v = 0
-        for c, g in zip(block, gens):
-            if c:
-                v ^= g
-        return v
 
     @staticmethod
     def adder(g: int) -> Callable[[int], int]:
@@ -409,14 +428,6 @@ class _Tables:
 
     def unit(self, k: int) -> int:
         return self.q**k
-
-    def combine(self, block: Sequence[int], gens: Sequence[int]) -> int:
-        add, mul = self.add, self.mul
-        v = 0
-        for c, g in zip(block, gens):
-            if c:
-                v = add[v][mul[g][c]]
-        return v
 
     def adder(self, g: int) -> Callable[[int], int]:
         return self.add[g].__getitem__
@@ -501,21 +512,87 @@ def _serves(rows: _Lazy, joins: _Lazy, terms: list[tuple], sids: list) -> bool:
     return True
 
 
-def _linear_blocks(arith, gens: Sequence) -> Iterator[tuple[tuple[int, ...], object]]:
-    """Every coefficient block over ``gens`` in lexicographic order, with the
-    vector it forms.  The last coefficient runs fastest, so a block whose last
-    coefficient is c > 0 adds one copy of the last generator to the vector
-    before it; only the q**(n-1) blocks ending in 0 recombine the others."""
-    if not gens:
-        yield (), arith.zero
-        return
-    lead = gens[:-1]
-    plus_last = arith.adder(gens[-1])
-    combine = arith.combine
-    v = arith.zero
-    for block in product(range(arith.q), repeat=len(gens)):
-        v = plus_last(v) if block[-1] else combine(block, lead)
-        yield block, v
+def _normal_blocks(
+    arith, gens: Sequence, spec: tuple
+) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Every normal coefficient block over ``gens`` in lexicographic order,
+    with the vector it forms (see "Normal codes").  ``spec`` holds a
+    (coordinates, k) pair per source group: with k pivots seen, the group's
+    first r - k - 1 coordinates are 0 and coordinate r - k - 1, its pivot,
+    is 0 or 1, and a 1 there forces the group's last k to 0.  The first
+    nonzero coefficient is 1.  Every allowed value set is 0..cap, so an
+    odometer raises the last coordinate that is below its cap and zeroes the
+    ones after it: one vector addition per block, and no block is built only
+    to be dropped."""
+    n = len(gens)
+    zero = arith.zero
+    # top[c]: the largest coefficient at c; gate[c]: the pivot whose 1
+    # forces c to 0 (-1: none)
+    top = [arith.q - 1] * n
+    gate = [-1] * n
+    for coords, k in spec:
+        r = len(coords)
+        if k < r:
+            pivot = coords[r - k - 1]
+            for c in coords[: r - k - 1]:
+                top[c] = 0
+            top[pivot] = 1
+            for c in coords[r - k :]:
+                gate[c] = pivot
+    block = [0] * n
+    yield tuple(block), zero
+    # sums[c]: the vector of block[: c + 1]
+    sums = [zero] * n
+    adders = [arith.adder(g) for g in gens]
+    first = n  # the first nonzero coordinate
+    j = n - 1
+    while j >= 0:
+        c = block[j]
+        g = gate[j]
+        cap = 0 if g >= 0 and block[g] else top[j]
+        if j <= first and cap > 1:
+            cap = 1
+        if c >= cap:
+            j -= 1
+            continue
+        block[j] = c + 1
+        v = sums[j] = adders[j](sums[j])
+        if j < first:
+            first = j
+        if j < n - 1:
+            for t in range(j + 1, n):
+                block[t] = 0
+                sums[t] = v
+            j = n - 1
+        yield tuple(block), v
+
+
+def _start_specs(expanded: UnicastInstance, tails: list[int], observed: dict) -> list:
+    """The spec at each position, or None where the tail's earlier out-edges
+    set it.  A source's groups, its sessions by terminal, hold their
+    symbols' coordinates in the block, after the tail's in-edges."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for idx, s in enumerate(expanded.sessions):
+        groups.setdefault((s.source, s.terminal), []).extend(expanded.session_symbols(idx))
+    layout: dict[int, list[tuple[int, ...]]] = {}
+    for (u, _), syms in groups.items():
+        coord = {k: len(expanded.in_edges[u]) + c for c, k in enumerate(observed.get(u, ()))}
+        if coord:
+            layout.setdefault(u, []).append(tuple(coord[k] for k in syms))
+    return [
+        None if i and u in layout and tails[i - 1] == u
+        else tuple((coords, 0) for coords in layout.get(u, ()))
+        for i, u in enumerate(tails)
+    ]
+
+
+def _next_spec(spec: tuple, block: tuple[int, ...]) -> tuple:
+    """``spec`` after ``block`` at the same source: a group's pivot count
+    grows where the block puts a 1 at its pivot coordinate."""
+    return tuple(
+        (coords, k + 1) if k < len(coords) and block[coords[-k - 1]] else (coords, k)
+        for coords, k in spec
+    )
 
 
 def _routing_walk(zero: object, gens: Sequence) -> list[tuple[tuple[int, ...], object]]:
@@ -539,6 +616,13 @@ def _search(
     budget: int,
     routing: bool,
 ) -> SearchReport:
+    """The depth-first search behind both entry points.  Linear mode walks
+    normal blocks only (see "Normal codes"): a block's first nonzero
+    coefficient is 1, and with k pivots seen at a source, a (source,
+    terminal) group's r coordinates in a unit part are zero in the first
+    r - k or form the unit vector at coordinate r - k - 1.  ``enumerated``
+    counts normal blocks, and a returned code is the lexicographically
+    first valid one."""
     if budget < 1:
         raise ValueError("budget must be positive")
     _checked_prime(q)
@@ -617,13 +701,15 @@ def _search(
 
     in_ids_at = [expanded.in_edges[u] for u in tails]
     units_at = [units_of.get(u, []) for u in tails]
-    # each generator tuple's walk, built on first use and replayed (see "Cost
-    # per block"); a linear walk past TABLE_VECTORS stays lazy, so a budget
-    # cut at a wide node stops in bounded time and memory
-    def walk(gens: tuple) -> list:
+    start_spec = [()] * M if routing else _start_specs(expanded, tails, observed)
+    # each (generator tuple, spec) walk, built on first use and replayed (see
+    # "Cost per block"); a linear walk past TABLE_VECTORS stays lazy, so a
+    # budget cut at a wide node stops in bounded time and memory
+    def walk(key: tuple) -> list:
+        gens, spec = key
         if routing:
             return _routing_walk(arith.zero, gens)
-        return list(_linear_blocks(arith, gens))
+        return list(_normal_blocks(arith, gens, spec))
 
     walk_of = _Lazy(walk)
     # q >= 2, so q**9 already exceeds TABLE_VECTORS
@@ -631,6 +717,7 @@ def _search(
                  for ids, us in zip(in_ids_at, units_at)]
 
     vecs = [arith.zero] * M
+    specs: list[tuple] = [()] * M
     # sids[i]: the span id of heads[i]'s in-edges up to i; sids[M] stays 0
     sids = [0] * (M + 1)
     chosen: list[tuple[int, ...]] = [()] * M
@@ -649,7 +736,14 @@ def _search(
             i += 1
             keys[i] = key
             gens = (*[vecs[e] for e in in_ids_at[i]], *units_at[i])
-            walks[i] = iter(walk_of[gens]) if cached_at[i] else _linear_blocks(arith, gens)
+            spec = start_spec[i]
+            if spec is None:
+                spec = _next_spec(specs[i - 1], chosen[i - 1])
+            specs[i] = spec
+            if cached_at[i]:
+                walks[i] = iter(walk_of[gens, spec])
+            else:
+                walks[i] = _normal_blocks(arith, gens, spec)
             visit_rows[i] = joins_at[i][sids[prev_in[i]]]
         x = order[i]
         row = visit_rows[i]
@@ -660,7 +754,7 @@ def _search(
         for block, v in walks[i]:
             counter += 1
             if counter > budget:
-                return SearchReport(q, T, counter, False, None, pruned)
+                return SearchReport(q, T, counter, False, None, pruned, sum(map(len, memos)))
             sid = row[v]
             if sid < 0:
                 continue
@@ -683,7 +777,7 @@ def _search(
             memos[i].add(keys[i])
             walks[i] = visit_rows[i] = None
             if i == 0:
-                return SearchReport(q, T, counter, True, None, pruned)
+                return SearchReport(q, T, counter, True, None, pruned, sum(map(len, memos)))
             i -= 1
 
     rules = [None] * M
@@ -692,7 +786,7 @@ def _search(
     code = NetworkCode(q=q, T=T, rules=tuple(rules))
     if not verify_code(instance, code).all_pass:
         raise CodeError("internal error: search returned a non-verifying code")
-    return SearchReport(q, T, counter, False, code, pruned)
+    return SearchReport(q, T, counter, False, code, pruned, sum(map(len, memos)))
 
 
 def brute_force_scalar(
@@ -705,8 +799,18 @@ def brute_force_scalar(
     """Exhaustive search for a linear code over GF(q) on the T-expanded graph.
 
     Assignments are explored in lexicographic order of the per-edge
-    coefficient blocks (edges in topological order), so a returned code is
-    the lexicographically first one.
+    coefficient blocks (edges in topological order), normal codes only:
+
+    * every block's first nonzero coefficient is 1 (edge scaling, q > 2);
+    * group the sessions by (source, terminal), and take a group's r
+      symbols as coordinates of the unit parts at the source's out-edges,
+      in search order.  With k pivots seen, a unit part is zero in its first
+      r - k coordinates or is the unit vector at coordinate r - k - 1.
+
+    Every code can be made normal, one position at a time, by a change that
+    keeps every check and makes the code lexicographically smaller.  So a
+    returned code is still the lexicographically first one, and exhausting
+    still proves that none exists; ``enumerated`` counts normal blocks.
     """
     return _search(instance, q, T, budget, routing=False)
 

@@ -1,7 +1,8 @@
 """Triple classification, canonical generators, exhaustive search engine."""
 
 import gc
-from itertools import combinations_with_replacement, permutations, product
+import random
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from cut_oracle import cutset_infeasible_exhaustive
@@ -348,6 +349,13 @@ def _same_as_reference(
     return got
 
 
+def _found_past_the_reference(instance, q, T=1):
+    # where the reference does not finish at AFFORDABLE either, its rerun is
+    # skipped and the fast search's code is verified instead
+    got = _same_as_reference(instance, q, T, budget=12_000, rerun=False)
+    assert got.code is not None and verify_code(instance, got.code).all_pass
+
+
 # the search-prove and search-find benchmark searches
 BENCHMARK_SEARCHES = (
     [pytest.param(gen, q, 1, False, id=f"{gen.__name__}-q{q}") for gen in (gen_222, gen_113) for q in (2, 3)]
@@ -372,13 +380,22 @@ def test_benchmark_searches_match_the_reference(gen, q, T, routing):
     _same_as_reference(gen(), q, T, routing=routing)
 
 
+# (j, m, q, T) where the reference does not finish at AFFORDABLE: each rerun
+# stopped at 1,000,001 blocks, while the fast search found a code in 131,
+# 187, 10,076, 99 and 149 blocks
+SAMPLED_UNFINISHED = {(20, 2, 3, 2), (20, 2, 5, 2), (24, 2, 2, 2), (27, 2, 3, 2), (27, 2, 5, 2)}
+
+
 @pytest.mark.parametrize("j", (20, 24, 27))
 @pytest.mark.parametrize("m", (1, 2))
 @pytest.mark.parametrize("q", (2, 3, 5))
 @pytest.mark.parametrize("T", (1, 2))
 def test_sampled_searches_match_the_reference(j, m, q, T):
     # the budget cuts the slowest of these off; the cut must fall identically
-    _same_as_reference(sample_1m(j, m), q, T, budget=12_000)
+    if (j, m, q, T) in SAMPLED_UNFINISHED:
+        _found_past_the_reference(sample_1m(j, m), q, T)
+    else:
+        _same_as_reference(sample_1m(j, m), q, T, budget=12_000)
 
 
 @pytest.mark.parametrize("j", range(30, 40))
@@ -409,29 +426,46 @@ def test_routing_over_a_node_with_nothing_to_forward_matches_the_reference(T):
 
 
 def test_span_key_pins_the_rate_21_proof_at_q3():
-    # 1,384,362 blocks under the exact key, 77,985 under the span key alone;
-    # a looser memo or a weaker lookahead would show here
+    # 1,384,362 blocks under the exact key, 77,985 under the span key alone,
+    # 15,687 with the lookahead over every code and 1,040 over normal codes;
+    # a looser memo, a weaker lookahead or a looser normal form would show here
     report = brute_force_scalar(gen_23_rate21(), 3)
-    assert (report.enumerated, report.exhausted, report.code) == (15_687, True, None)
+    assert (report.enumerated, report.exhausted, report.code) == (1_040, True, None)
 
 
-# the lookahead's exact counts on the other benchmark searches; fig2b at q=2
-# and fig1 at q=2 are pinned through the command line in test_cli.py
+# the exact counts on the other benchmark searches, over normal codes; fig2b
+# at q=2 and fig1 at q=2 are pinned through the command line in test_cli.py.
+# Over every code the lookahead took 1,953, 15, 2,028, 2,028, 76 and 140
+# blocks on the six searches that normal forms shortened
 @pytest.mark.parametrize(
     "gen, q, blocks",
     [
         (gen_222, 2, 454),
-        (gen_222, 3, 1_953),
-        (gen_113, 3, 15),
-        (gen_23_rate21, 2, 2_028),
-        (gen_232, 2, 2_028),
+        (gen_222, 3, 1_030),
+        (gen_113, 3, 9),
+        (gen_23_rate21, 2, 415),
+        (gen_232, 2, 415),
         (gen_fig1, 2, 53),
-        (gen_fig1, 3, 76),
-        (gen_fig1, 5, 140),
+        (gen_fig1, 3, 56),
+        (gen_fig1, 5, 62),
     ],
 )
 def test_lookahead_pins_the_benchmark_searches(gen, q, blocks):
     assert brute_force_scalar(gen(), q).enumerated == blocks
+
+
+def test_memo_size_counts_the_failed_states_held_at_return():
+    # the lookahead's cut keys are held with the failed ones
+    for report, held in [
+        (brute_force_scalar(gen_222(), 2), 207),
+        (brute_force_scalar(gen_fig1(), 2), 33),
+        (brute_force_scalar(gen_222(), 3, budget=100), 43),
+        (brute_force_routing(gen_fig1(), 1), 95),
+    ]:
+        assert report.memo_size == held and report.memo_size >= report.pruned
+    # no state is held when a terminal without in-edges settles the search
+    corner = LOOKAHEAD_CORNERS["terminal-without-in-edges"]
+    assert brute_force_scalar(corner, 2).memo_size == 0
 
 
 def test_pruned_counts_the_states_the_lookahead_cuts():
@@ -482,7 +516,7 @@ BELOW_133 = [t for t in combinations_with_replacement((1, 2, 3), 3) if t[1] < 3 
 
 # (triple, j, q) where the reference does not finish at AFFORDABLE either:
 # each rerun stopped at 1,000,001 blocks, while the fast search found a code
-# in 545, 138 and 531 blocks.  The rerun is skipped and the code verified.
+# in 364, 114 and 362 blocks
 REFERENCE_UNFINISHED = {((2, 2, 2), 1, 3), ((2, 2, 3), 1, 3), ((2, 2, 3), 3, 3)}
 
 
@@ -491,11 +525,10 @@ REFERENCE_UNFINISHED = {((2, 2, 2), 1, 3), ((2, 2, 3), 1, 3), ((2, 2, 3), 3, 3)}
 @pytest.mark.parametrize("triple", BELOW_133, ids=lambda t: "".join(map(str, t)))
 def test_sampled_triples_match_the_reference(triple, j, q):
     instance = sample_triple(j, triple)
-    if (triple, j, q) not in REFERENCE_UNFINISHED:
+    if (triple, j, q) in REFERENCE_UNFINISHED:
+        _found_past_the_reference(instance, q)
+    else:
         _same_as_reference(instance, q, budget=12_000)
-        return
-    got = _same_as_reference(instance, q, budget=12_000, rerun=False)
-    assert got.code is not None and verify_code(instance, got.code).all_pass
 
 
 LOOKAHEAD_CORNERS = {
@@ -543,6 +576,61 @@ def test_lookahead_corners_match_the_reference(name, q, T, routing):
     _same_as_reference(LOOKAHEAD_CORNERS[name], q, T, routing=routing)
 
 
+def _random_dag(seed):
+    """A DAG on v0..v{n-1}, n in {4, 5}, every edge running up the numbering,
+    with two or three sessions of rate 1 or 2.  Past the first session, a
+    quarter share its source and terminal, half only its source, and a
+    quarter are drawn afresh.  Each session gets a path of its own and then
+    one to four edges are added, so a source past v0 may have in-edges."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 5)
+
+    def pair(s=None):
+        s = rng.randrange(n - 2) if s is None else s
+        return s, rng.randrange(s + 1, n)
+
+    s0, t0 = pair()
+    sessions = [(s0, t0, rng.choice((1, 1, 2)))]
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.random()
+        s, t = (s0, t0) if kind < 0.25 else pair(s0) if kind < 0.75 else pair()
+        sessions.append((s, t, rng.choice((1, 1, 2))))
+    edges = []
+    for s, t, _ in sessions:
+        hops = [s, *sorted(rng.sample(range(s + 1, t), rng.randint(0, min(2, t - s - 1)))), t]
+        edges += zip(hops, hops[1:])
+    edges += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(edges)
+    return build_instance(
+        [(f"v{a}", f"v{b}") for a, b in edges], [(f"v{s}", f"v{t}", r) for s, t, r in sessions]
+    )
+
+
+RANDOM_DAGS = range(100)
+
+
+def test_random_dags_cover_every_source_group_case():
+    seen = set()
+    for seed in RANDOM_DAGS:
+        inst = _random_dag(seed)
+        for a, b in combinations(inst.sessions, 2):
+            if a.source == b.source:
+                seen.add("same terminal" if a.terminal == b.terminal else "other terminal")
+        seen |= {"rate 2" for s in inst.sessions if s.rate == 2}
+        seen |= {"source with in-edges" for s in inst.sessions if inst.in_edges[s.source]}
+    assert seen == {"same terminal", "other terminal", "rate 2", "source with in-edges"}
+
+
+@pytest.mark.parametrize("seed", RANDOM_DAGS)
+def test_random_dags_match_the_reference(seed):
+    # the source normal form groups sessions by (source, terminal): grouped
+    # by source alone, the search fails 6 of these seeds, and with pivot
+    # counts that never grow, 26
+    instance = _random_dag(seed)
+    for q, T in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
+        _same_as_reference(instance, q, T, budget=1_500, rerun=False)
+
+
 def test_routing_walks_are_built_once_per_generator_tuple(monkeypatch):
     calls = []
     build = oracle._routing_walk
@@ -568,7 +656,7 @@ WIDE_NODE = parse_instance(
 
 
 @pytest.mark.parametrize(
-    "q, routing, blocks", [(2, False, 544), (3, False, 19_731), (2, True, 42)],
+    "q, routing, blocks", [(2, False, 544), (3, False, 9_874), (2, True, 42)],
     ids=["q2", "q3", "routing"],
 )
 def test_a_node_past_the_walk_bound_keeps_its_counts(q, routing, blocks):
@@ -583,10 +671,10 @@ def test_a_node_past_the_walk_bound_keeps_its_counts(q, routing, blocks):
 @pytest.mark.parametrize(
     "q, routing, budget",
     [
-        (3, False, 5),  # the second of three blocks on an edge into v: cached
+        (3, False, 5),  # the second of two normal blocks on an edge into v: cached
         (2, True, 15),  # the fifth of v -> w's ten routing blocks: cached
         (2, False, 100),  # the 90th of v -> w's 512 blocks: lazy
-        (3, False, 300),  # the 290th of v -> w's 19,683 blocks: lazy
+        (3, False, 300),  # the 290th of v -> w's 9,842 normal blocks: lazy
     ],
 )
 def test_a_budget_cut_mid_walk_keeps_the_count(q, routing, budget):
@@ -609,19 +697,59 @@ def test_replayed_walks_match_the_reference(make, q, T, routing):
     _same_as_reference(make(), q, T, budget=12_000, routing=routing, rerun=False)
 
 
-def test_linear_blocks_are_built_once_per_generator_tuple(monkeypatch):
+def test_normal_blocks_are_built_once_per_walk_key(monkeypatch):
     calls = []
-    build = oracle._linear_blocks
+    build = oracle._normal_blocks
     monkeypatch.setattr(
-        oracle, "_linear_blocks", lambda arith, gens: calls.append(tuple(gens)) or build(arith, gens)
+        oracle,
+        "_normal_blocks",
+        lambda arith, gens, spec: calls.append((tuple(gens), spec)) or build(arith, gens, spec),
     )
-    # 726 node entries over 34 distinct generator tuples
+    # 21 distinct (generator tuple, spec) keys over 18 generator tuples
     brute_force_scalar(gen_232(), 2)
-    assert len(calls) == len(set(calls)) == 34
+    assert len(calls) == len(set(calls)) == 21
     calls.clear()
     brute_force_scalar(WIDE_NODE, 3)
-    cached = [gens for gens in calls if 3 ** len(gens) <= oracle.TABLE_VECTORS]
+    cached = [key for key in calls if 3 ** len(key[0]) <= oracle.TABLE_VECTORS]
     assert cached and len(cached) == len(set(cached))
+
+
+def _is_normal(block, spec):
+    # the two rules as stated, checked on a whole block
+    if any(block) and next(c for c in block if c) != 1:
+        return False
+    for coords, k in spec:
+        r = len(coords)
+        part = [block[c] for c in coords]
+        pivot = [0] * r
+        if k < r:
+            pivot[r - k - 1] = 1
+        if any(part[: r - k]) and part != pivot:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+@pytest.mark.parametrize(
+    "n, spec",
+    [
+        (0, ()),
+        (3, ()),
+        (3, (((0, 1, 2), 0),)),
+        (4, (((1, 2, 3), 1),)),  # an in-edge coordinate, then a group
+        (4, (((0, 1), 2),)),  # every pivot seen: the first-nonzero rule alone
+        (5, (((1, 3), 0), ((2, 4), 1))),  # two groups with interleaved coordinates
+    ],
+)
+def test_normal_blocks_are_the_normal_ones_among_all_blocks(q, n, spec):
+    V = Vectors(q, 3)
+    gens = list(product(range(q), repeat=3))[1 : n + 1]  # nonzero vectors of GF(q)^3
+    walk = list(oracle._normal_blocks(V, gens, spec))
+    # in lexicographic order, exactly the normal blocks, each with its vector
+    assert [block for block, _ in walk] == [
+        block for block in product(range(q), repeat=n) if _is_normal(block, spec)
+    ]
+    assert all(v == V.combine(block, gens) for block, v in walk)
 
 
 @pytest.mark.parametrize("n", (0, 1, 3))
@@ -649,7 +777,10 @@ def test_routing_blocks_pair_each_block_with_its_vector(n):
 def test_table_and_tuple_arithmetic_match_the_reference(m, q, T, kind):
     instance = sample_1m(20, m)
     assert type(oracle._arithmetic(q, instance.n_symbols * T)) is kind
-    _same_as_reference(instance, q, T, budget=12_000)
+    if (20, m, q, T) in SAMPLED_UNFINISHED:
+        _found_past_the_reference(instance, q, T)
+    else:
+        _same_as_reference(instance, q, T, budget=12_000)
 
 
 def test_arithmetic_is_chosen_from_the_vector_count():
